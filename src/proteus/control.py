@@ -86,8 +86,12 @@ class ControlClient:
     def __init__(self, socket_path: Path | str, timeout: float = 10.0):
         self.socket_path = str(socket_path)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(self.socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(self.socket_path)
+        except OSError:
+            self._sock.close()
+            raise
         self._file = self._sock.makefile("rb")
 
     def request(self, op: str, **args) -> dict:

@@ -19,8 +19,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
-from .channel import ChannelHandle, DuplexChannel, create_duplex
-from .endpoint import PtyEndpoint
+from .channel import ChannelHandle, create_duplex
+from .endpoint import BACKLOG_POLL, PtyEndpoint
 from .errors import (
     ConfigureFailedError,
     DeploymentNotActiveError,
@@ -37,7 +37,7 @@ from .errors import (
 from .ham import Ham, HamDescriptor, HardwareImage
 from .manifest import Implementation, ModuleManifest, load_manifest
 from .modem import DialPlan, Modem, load_dial_plan
-from .paths import endpoint_dir
+from .paths import proteus_dir
 from .trace import TraceKind, TraceLog
 
 logger = logging.getLogger(__name__)
@@ -66,6 +66,9 @@ class IdentityRuntime:
     def poll(self) -> tuple[bytes, list]:
         return b"", []
 
+    def pump_timeout(self) -> float | None:
+        return None
+
     def close(self) -> None:
         pass
 
@@ -88,6 +91,9 @@ class ModemRuntime:
         result = self.modem.carrier_pump()
         return result.to_app, result.events
 
+    def pump_timeout(self) -> float | None:
+        return self.modem.pump_timeout()
+
     def close(self) -> None:
         self.modem.close()
 
@@ -105,8 +111,6 @@ class Deployment:
     ham_id: str
     policy: Policy
     state: DeploymentState = DeploymentState.PENDING
-    implementation_index: int | None = None
-    channel: DuplexChannel | None = None
     platform_handle: ChannelHandle | None = None
     endpoint: PtyEndpoint | None = None
     runtime: object | None = None
@@ -120,11 +124,8 @@ class PumpProgress:
 
 
 def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
-                              name: str, link_dir: Path,
-                              on_activity) -> PtyEndpoint:
-    ep = PtyEndpoint(deployment_id, app_handle, name, link_dir, on_activity)
-    ep.start()
-    return ep
+                              name: str, link_dir: Path) -> PtyEndpoint:
+    return PtyEndpoint(deployment_id, app_handle, name, link_dir)
 
 
 class Platform:
@@ -137,12 +138,10 @@ class Platform:
     def __init__(self, runtime_dir: Path | str | None = None,
                  channel_capacity: int = 4096,
                  endpoint_factory: Callable | None = None,
-                 on_endpoint_activity: Callable[[], None] | None = None,
                  clock: Callable[[], float] = time.monotonic):
-        self._endpoint_dir = endpoint_dir(runtime_dir)
+        self._endpoint_dir = proteus_dir(runtime_dir)
         self._capacity = channel_capacity
         self._endpoint_factory = endpoint_factory or _default_endpoint_factory
-        self._on_endpoint_activity = on_endpoint_activity
         self._clock = clock
         self.trace = TraceLog()
         self._hams: dict[str, tuple[HamDescriptor, Ham]] = {}
@@ -264,8 +263,6 @@ class Platform:
                 f"ham {deployment.ham_id} rejected image: {exc}") from exc
 
         app_handle, platform_handle = create_duplex(self._capacity)
-        deployment.implementation_index = index
-        deployment.channel = platform_handle.channel
         deployment.platform_handle = platform_handle
         name = manifest.config.get("endpoint_name") or (
             f"{deployment.module_id}-{deployment.ham_id}")
@@ -279,8 +276,7 @@ class Platform:
                 raise ConfigureFailedError(
                     f"module behavior {impl.behavior!r} failed to start: {exc}") from exc
             deployment.endpoint = self._endpoint_factory(
-                deployment.deployment_id, app_handle, name,
-                self._endpoint_dir, self._on_endpoint_activity)
+                deployment.deployment_id, app_handle, name, self._endpoint_dir)
         except ProteusError:
             platform_handle.close()
             app_handle.close()
@@ -340,12 +336,13 @@ class Platform:
     # -- data path -----------------------------------------------------------
 
     def pump(self, deployment_id: str, _allow_stopping: bool = False) -> PumpProgress:
-        """Move one bounded batch through channel -> hardware -> module.
+        """Move one bounded batch PTY -> channel -> hardware -> module and back.
 
         Bytes the application wrote are run through the device image and
         the module behavior; whatever the module answers is written back
-        toward the application.  Per-pass work is capped at one buffer's
-        worth so the loop stays fair across deployments.
+        toward the application and on to its PTY.  Everything runs on the
+        caller's thread.  Per-pass work is capped at one buffer's worth so
+        the loop stays fair across deployments.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
@@ -359,6 +356,7 @@ class Platform:
         _, ham = self._hams[deployment.ham_id]
         events: list = []
 
+        deployment.endpoint.pump_once()
         self._flush_out(deployment, progress)
         if len(deployment.out_pending) < self._capacity:
             data = handle.read(self._capacity)
@@ -383,7 +381,7 @@ class Platform:
         if progress.bytes_out:
             self.trace.emit(TraceKind.DATA_OUT,
                             deployment_id=deployment_id, bytes=progress.bytes_out)
-        if (progress.bytes_in or progress.bytes_out) and deployment.endpoint:
+        if progress.bytes_out:
             deployment.endpoint.notify()
         return progress
 
@@ -402,11 +400,36 @@ class Platform:
     def pump_all(self) -> bool:
         """Pump every active deployment once; True if any bytes moved."""
         progressed = False
-        for deployment_id, deployment in list(self._deployments.items()):
-            if deployment.state is DeploymentState.ACTIVE:
-                p = self.pump(deployment_id)
-                progressed = progressed or bool(p.bytes_in or p.bytes_out)
+        for deployment_id in list(self._occupant.values()):
+            p = self.pump(deployment_id)
+            progressed = progressed or bool(p.bytes_in or p.bytes_out)
         return progressed
+
+    def watch_fds(self) -> dict[str, int]:
+        """deployment_id -> the fd whose readiness calls for a pump pass."""
+        watched = {}
+        for deployment_id in self._occupant.values():
+            fd = self._deployments[deployment_id].endpoint.watch_fd()
+            if fd is not None:
+                watched[deployment_id] = fd
+        return watched
+
+    def pump_timeout(self) -> float | None:
+        """Seconds until a pump pass is due that no watched fd announces.
+
+        None means none is due: the platform waits on I/O alone.  A
+        timeout comes from an endpoint looking for a client, the modem's
+        escape guard time or TCP carrier, or output held back by a full
+        channel.
+        """
+        timeouts = []
+        for deployment_id in self._occupant.values():
+            deployment = self._deployments[deployment_id]
+            timeouts.append(deployment.endpoint.pump_timeout())
+            timeouts.append(deployment.runtime.pump_timeout())
+            if deployment.out_pending:
+                timeouts.append(BACKLOG_POLL)
+        return min((t for t in timeouts if t is not None), default=None)
 
     # -- introspection -------------------------------------------------------
 
@@ -474,6 +497,6 @@ class Platform:
 
     def shutdown(self) -> None:
         """Undeploy everything that is still active."""
-        for deployment_id, deployment in list(self._deployments.items()):
-            if deployment.state is DeploymentState.ACTIVE:
-                self.undeploy(deployment_id)
+        # undeploying can activate a queued deployment, which goes too
+        while self._occupant:
+            self.undeploy(next(iter(self._occupant.values())))

@@ -1,7 +1,11 @@
 """Platform daemon: the single event loop plus the control socket server.
 
-All mutating platform calls are funneled onto one loop thread as
-messages, matching the single-owner design of the core.  Control
+All platform work runs on one loop thread: the calls control clients
+hand it through :meth:`PlatformLoop.call`, and the pump passes that move
+every deployment's bytes between its PTY and its module.  The thread
+blocks in one epoll on a wake eventfd and the PTY master of every
+attached endpoint, with a timeout only while a pass is due that no fd
+announces (see :meth:`proteus.core.Platform.pump_timeout`).  Control
 clients are handled concurrently but only ever touch the platform via
 :meth:`PlatformLoop.call`; trace followers read the (thread-safe) trace
 log directly.
@@ -12,9 +16,10 @@ from __future__ import annotations
 import json
 import logging
 import os
-import queue
+import select
 import socket
 import threading
+from collections import deque
 from pathlib import Path
 
 from .control import encode_response, parse_request
@@ -23,8 +28,6 @@ from .errors import AlreadyRunningError, ProteusError, ProtocolError
 from .paths import default_socket_path
 
 logger = logging.getLogger(__name__)
-
-_KICK = object()
 
 
 class _Call:
@@ -38,10 +41,15 @@ class _Call:
 class PlatformLoop:
     """Owns the platform; everything mutating runs on this one thread."""
 
-    def __init__(self, platform: Platform, tick: float = 0.01):
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self._tick = tick
-        self._inbox: queue.Queue = queue.Queue()
+        self._calls: deque[_Call] = deque()
+        self._kicked = False
+        self._wake = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        self._wake_lock = threading.Lock()  # no write once stop closed it
+        self._epoll = select.epoll()
+        self._epoll.register(self._wake, select.EPOLLIN)
+        self._watched: dict[str, int] = {}  # deployment_id -> registered fd
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
@@ -52,7 +60,8 @@ class PlatformLoop:
     def call(self, fn, timeout: float = 30.0):
         """Run ``fn`` on the loop thread and return its result."""
         call = _Call(fn)
-        self._inbox.put(call)
+        self._calls.append(call)
+        self._wake_up()
         if not call.done.wait(timeout):
             raise TimeoutError("platform loop did not answer")
         if call.error is not None:
@@ -60,33 +69,54 @@ class PlatformLoop:
         return call.result
 
     def kick(self) -> None:
-        """Nudge the loop to pump now (endpoint activity etc.)."""
-        if self._inbox.qsize() < 2:
-            self._inbox.put(_KICK)
+        """Ask the loop for a pump pass now; safe from any thread, coalesces."""
+        self._kicked = True
+        self._wake_up()
+
+    def _wake_up(self) -> None:
+        with self._wake_lock:
+            if self._wake < 0:
+                raise RuntimeError("platform loop has stopped")
+            os.eventfd_write(self._wake, 1)
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            busy = self.platform.active_count > 0
-            try:
-                item = self._inbox.get(timeout=self._tick if busy else 0.2)
-            except queue.Empty:
-                item = None
-            while item is not None:
-                if isinstance(item, _Call):
-                    try:
-                        item.result = item.fn()
-                    except BaseException as exc:
-                        item.error = exc
-                    finally:
-                        item.done.set()
+            timeout = self.platform.pump_timeout()
+            events = self._epoll.poll(-1 if timeout is None else timeout)
+            pump = not events  # the timeout expired
+            for fd, _ in events:
+                if fd == self._wake:
+                    os.eventfd_read(self._wake)
+                else:
+                    pump = True
+            if self._kicked:
+                self._kicked = False
+                pump = True
+            while self._calls:
+                call = self._calls.popleft()
                 try:
-                    item = self._inbox.get_nowait()
-                except queue.Empty:
-                    item = None
+                    call.result = call.fn()
+                except BaseException as exc:
+                    call.error = exc
+                finally:
+                    call.done.set()
             # keep pumping while data is on the move
-            while self.platform.pump_all():
-                if self._stop.is_set() or not self._inbox.empty():
+            while pump and self.platform.pump_all():
+                if self._stop.is_set() or self._calls:
                     break
+            self._watch()
+
+    def _watch(self) -> None:
+        """Make epoll watch exactly the fds the platform wants watched."""
+        wanted = self.platform.watch_fds()
+        for deployment_id in self._watched.keys() - wanted.keys():
+            try:
+                self._epoll.unregister(self._watched[deployment_id])
+            except OSError:
+                pass  # closed with its endpoint, which also unregistered it
+        for deployment_id in wanted.keys() - self._watched.keys():
+            self._epoll.register(wanted[deployment_id], select.EPOLLIN)
+        self._watched = wanted
 
     def stop(self) -> None:
         if self._stop.is_set():
@@ -103,9 +133,14 @@ class PlatformLoop:
             except Exception:
                 logger.exception("shutdown failed")
         self._stop.set()
-        self._inbox.put(_KICK)
+        self._wake_up()
         if self._thread.is_alive():
             self._thread.join(timeout=5.0)
+        if not self._thread.is_alive():
+            with self._wake_lock:
+                self._epoll.close()
+                os.close(self._wake)
+                self._wake = -1
 
 
 class ControlServer:
@@ -156,16 +191,15 @@ class ControlServer:
                              daemon=True).start()
 
     def _serve_client(self, conn: socket.socket) -> None:
-        with conn:
-            fh = conn.makefile("rb")
-            while not self._stop.is_set():
-                line = fh.readline()
-                if not line:
-                    return
-                try:
+        with conn, conn.makefile("rb") as fh:
+            try:
+                while not self._stop.is_set():
+                    line = fh.readline()
+                    if not line:
+                        return
                     self._handle_line(conn, line)
-                except (BrokenPipeError, ConnectionResetError):
-                    return
+            except (BrokenPipeError, ConnectionResetError):
+                return
 
     def _handle_line(self, conn: socket.socket, line: bytes) -> None:
         try:
@@ -249,7 +283,6 @@ class Daemon:
                  socket_path: Path | str | None = None):
         self.platform = Platform(runtime_dir=runtime_dir)
         self.loop = PlatformLoop(self.platform)
-        self.platform._on_endpoint_activity = self.loop.kick
         self.server = ControlServer(self.loop, socket_path)
 
     def start(self) -> None:

@@ -3,9 +3,12 @@
 Each active deployment publishes one PTY whose slave node any stock
 terminal program can open like serial hardware.  A stable symlink under
 the runtime directory gives the node a predictable name.  The endpoint
-owns a pump thread that shuttles bytes between the PTY master and the
-application handle of the deployment's duplex channel, with backpressure
-in both directions and no reordering.
+has no thread of its own: whoever pumps the deployment (the platform
+loop in the daemon, or the embedding program through
+``Platform.pump``) moves its bytes between the PTY master and the
+application handle of the deployment's duplex channel, with
+backpressure in both directions and no reordering.  ``watch_fd`` and
+``pump_timeout`` tell a loop when the endpoint next needs a pass.
 """
 
 from __future__ import annotations
@@ -15,37 +18,38 @@ import logging
 import os
 import pty
 import select
-import threading
 import time
 import tty
 from pathlib import Path
-from typing import Callable
 
 from .channel import ChannelHandle
-from .errors import NameInUseError, OsResourceError
+from .errors import NameInUseError, OsResourceError, ProteusError
 
 logger = logging.getLogger(__name__)
 
 CHUNK = 4096
-IDLE_WAIT = 0.05
+# a master reports hangup, not readiness, while no client holds the
+# node open, so attachment is sampled on a timer instead of watched
+ATTACH_SAMPLE = 0.05
+# retry interval for bytes held back by a full PTY or channel
+BACKLOG_POLL = 0.01
+# how long withdraw lets an attached client read the tail of the stream
+DRAIN_WAIT = 0.25
 
 
 class PtyEndpoint:
-    """One published endpoint: PTY node, link, and its pump.
+    """One published endpoint: PTY node and link.
 
     The slave is left in raw mode so the byte stream is 8-bit clean;
     echo and CR/LF framing belong to whatever module sits behind the
-    channel.  ``on_activity`` (if given) is invoked from the pump thread
-    whenever bytes moved toward the platform, so the owning loop can
-    react promptly instead of waiting for its next tick.
+    channel.  All methods run on the thread that pumps the deployment.
     """
 
     def __init__(self, deployment_id: str, app_handle: ChannelHandle, name: str,
-                 link_dir: Path, on_activity: Callable[[], None] | None = None):
+                 link_dir: Path):
         self.deployment_id = deployment_id
         self.name = name
         self._handle = app_handle
-        self._on_activity = on_activity
 
         link_dir = Path(link_dir)
         link_path = link_dir / name
@@ -73,42 +77,47 @@ class PtyEndpoint:
             raise OsResourceError(f"cannot create endpoint link: {exc}") from exc
         self.link_path = link_path
 
-        self._wake_r, self._wake_w = os.pipe()
-        os.set_blocking(self._wake_r, False)
-        os.set_blocking(self._wake_w, False)
-
-        self.open_count = 0
-        self.sessions = 0
+        self._poller = select.poll()
+        self._poller.register(master, select.POLLIN)
+        self._attached = False
+        self._sessions = 0
+        self._sampled_at = time.monotonic()
         self.bytes_from_app = 0
         self.bytes_to_app = 0
         self._in_pending = b""   # read from PTY, not yet accepted by channel
         self._out_pending = b""  # read from channel, not yet written to PTY
-        self._final_drain_bytes = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._pump_loop, name=f"endpoint-{name}", daemon=True)
 
-    def start(self) -> None:
-        self._thread.start()
+    # -- client attachment ---------------------------------------------------
 
-    def notify(self) -> None:
-        """Wake the pump; safe from any thread, coalesces."""
-        try:
-            os.write(self._wake_w, b"\0")
-        except OSError:
-            pass
+    def _sample(self) -> bool:
+        """Poll the master once to track attachment; True if it is readable."""
+        if self._master < 0:
+            return False
+        events = self._poller.poll(0)
+        flags = events[0][1] if events else 0
+        attached = not flags & select.POLLHUP
+        if attached != self._attached:
+            self._attached = attached
+            if attached:
+                self._sessions += 1
+            logger.debug("endpoint %s: client %s", self.name,
+                         "attached" if attached else "detached")
+        self._sampled_at = time.monotonic()
+        return bool(flags & select.POLLIN)
+
+    @property
+    def open_count(self) -> int:
+        """1 while a client holds the node open, sampled when read."""
+        self._sample()
+        return int(self._attached)
+
+    @property
+    def sessions(self) -> int:
+        """How many times a client has attached, sampled when read."""
+        self._sample()
+        return self._sessions
 
     # -- pump ----------------------------------------------------------------
-
-    def _client_state(self) -> tuple[bool, bool]:
-        """(client attached, master readable) from one non-blocking poll."""
-        poller = select.poll()
-        poller.register(self._master, select.POLLIN)
-        events = poller.poll(0)
-        if not events:
-            return True, False
-        flags = events[0][1]
-        return not (flags & select.POLLHUP), bool(flags & select.POLLIN)
 
     def pump_once(self) -> tuple[int, int]:
         """One bounded pass both directions; returns (in, out) byte counts.
@@ -117,23 +126,14 @@ class PtyEndpoint:
         Partial acceptance on either side leaves a pending remainder and
         stops further intake, so nothing is ever dropped.
         """
-        attached, readable = self._client_state()
-        if attached and not self.open_count:
-            self.open_count = 1
-            self.sessions += 1
-            logger.debug("endpoint %s: client attached", self.name)
-        elif not attached and self.open_count:
-            self.open_count = 0
-            logger.debug("endpoint %s: client detached", self.name)
+        readable = self._sample()
+        return self._pump_inbound(readable), self._pump_outbound()
 
-        moved_in = self._pump_inbound(readable)
-        moved_out = self._pump_outbound()
-        if moved_in and self._on_activity is not None:
-            self._on_activity()
-        return moved_in, moved_out
+    def notify(self) -> None:
+        """Deliver to the client what the platform has just queued."""
+        self._pump_outbound()
 
     def _pump_inbound(self, readable: bool) -> int:
-        moved = 0
         if not self._in_pending and readable:
             try:
                 self._in_pending = os.read(self._master, CHUNK)
@@ -142,99 +142,97 @@ class PtyEndpoint:
             except OSError as exc:
                 if exc.errno != errno.EIO:  # EIO: client side fully closed
                     raise
-        if self._in_pending:
-            try:
-                accepted = self._handle.write(self._in_pending)
-            except Exception:
-                # platform side gone; drop what cannot be delivered
-                self._in_pending = b""
-                return 0
-            moved = accepted
-            self.bytes_from_app += accepted
-            self._in_pending = self._in_pending[accepted:]
-        return moved
+        if not self._in_pending:
+            return 0
+        try:
+            accepted = self._handle.write(self._in_pending)
+        except ProteusError:
+            # platform side gone; drop what cannot be delivered
+            self._in_pending = b""
+            return 0
+        self.bytes_from_app += accepted
+        self._in_pending = self._in_pending[accepted:]
+        return accepted
 
     def _pump_outbound(self) -> int:
+        """Move channel bytes to the PTY until one of them runs dry or full."""
         moved = 0
-        if not self._out_pending:
-            try:
-                data = self._handle.read(CHUNK)
-            except Exception:
-                data = None
-            if data:
+        while True:
+            if not self._out_pending:
+                try:
+                    data = self._handle.read(CHUNK)
+                except ProteusError:
+                    data = None
+                if not data:
+                    return moved
                 self._out_pending = data
-        if self._out_pending:
             try:
                 n = os.write(self._master, self._out_pending)
             except BlockingIOError:
                 n = 0
             except OSError:
                 n = len(self._out_pending)  # master defunct; nothing to deliver to
-            moved = n
+            moved += n
             self.bytes_to_app += n
             self._out_pending = self._out_pending[n:]
-        return moved
+            if self._out_pending:
+                return moved
 
-    def _pump_loop(self) -> None:
-        while not self._stop.is_set():
-            moved_in, moved_out = self.pump_once()
-            if moved_in or moved_out:
-                continue
-            attached, _ = self._client_state()
-            # only select on the master while a client keeps it HUP-free,
-            # and only while we can actually take more input
-            rlist = [self._wake_r]
-            if attached and not self._in_pending and self._handle.poll().writable:
-                rlist.append(self._master)
-            try:
-                ready, _, _ = select.select(rlist, [], [], IDLE_WAIT)
-            except OSError:
-                ready = []
-            if self._wake_r in ready:
-                try:
-                    while os.read(self._wake_r, 64):
-                        pass
-                except OSError:
-                    pass
-        # drain what the platform already queued so a connected client
-        # sees the tail of the stream before hangup
-        for _ in range(20):
-            moved = self._pump_outbound()
-            if not moved:
-                break
-            self._final_drain_bytes += moved
+    # -- what a loop waits on --------------------------------------------------
+
+    def watch_fd(self) -> int | None:
+        """The master while a client is attached and input can be taken."""
+        if self._attached and not self._in_pending:
+            return self._master
+        return None
+
+    def pump_timeout(self) -> float | None:
+        """Seconds until a pass is due that no readiness of the master announces."""
+        if not self._attached:
+            return max(0.0, self._sampled_at + ATTACH_SAMPLE - time.monotonic())
+        if self._in_pending or self._out_pending:
+            return BACKLOG_POLL
+        return None
 
     # -- lifecycle -----------------------------------------------------------
 
-    def withdraw(self) -> None:
-        """Remove the node and link; a connected client observes hangup."""
-        self._stop.set()
-        self.notify()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-        if self._final_drain_bytes:
-            # closing the master discards whatever the client has not read
-            # yet, so give an attached reader a bounded moment to catch up
-            deadline = time.monotonic() + 0.25
-            while time.monotonic() < deadline:
-                attached, _ = self._client_state()
-                if not attached:
-                    break
-                time.sleep(0.01)
+    def _client_behind(self) -> bool:
+        """True while an attached client has not yet read all it was sent."""
+        if not self.open_count:
+            return False
+        if self._out_pending:
+            return True
         try:
-            self._handle.close()
-        except Exception:
-            pass
-        for fd in (self._master, self._wake_r, self._wake_w):
-            try:
-                os.close(fd)
-            except OSError:
-                pass
+            fd = os.open(self.os_path, os.O_RDONLY | os.O_NOCTTY | os.O_NONBLOCK)
+        except OSError:
+            return False
+        try:
+            # polling the slave flushes the line discipline first, so
+            # bytes written to the master just now are counted
+            return bool(select.select([fd], [], [], 0)[0])
+        finally:
+            os.close(fd)
+
+    def withdraw(self) -> None:
+        """Remove the node and link; a connected client observes hangup.
+
+        What the platform already queued is delivered first.  Closing
+        the master discards whatever the client has not read yet, so an
+        attached reader gets a bounded moment to catch up.
+        """
+        deadline = time.monotonic() + DRAIN_WAIT
+        self._pump_outbound()
+        while self._client_behind() and time.monotonic() < deadline:
+            time.sleep(0.005)
+            self._pump_outbound()
+        self._handle.close()
+        os.close(self._master)
+        self._master = -1
+        self._attached = False
         try:
             self.link_path.unlink()
         except OSError:
             pass
-        self.open_count = 0
 
     def snapshot(self) -> dict:
         return {
@@ -242,7 +240,7 @@ class PtyEndpoint:
             "path": self.os_path,
             "link": str(self.link_path),
             "open_count": self.open_count,
-            "sessions": self.sessions,
+            "sessions": self._sessions,
             "bytes_from_app": self.bytes_from_app,
             "bytes_to_app": self.bytes_to_app,
         }

@@ -228,6 +228,7 @@ class LoopbackCarrier:
     """Reflects every byte sent straight back to the receive side."""
 
     kind = "loopback"
+    poll_interval = None  # sent bytes come back within the same pump pass
 
     def __init__(self):
         self._pending = deque()
@@ -255,10 +256,12 @@ class TcpCarrier:
 
     The socket is serviced by its own transfer threads; the modem (which
     lives on the platform loop) exchanges data with them only through
-    queues.
+    queues, which no fd announces, so the loop looks at them every
+    ``poll_interval`` seconds.
     """
 
     kind = "tcp"
+    poll_interval = 0.01
     _EOF = None
 
     def __init__(self, host: str, port: int, connect_timeout: float = 2.0):
@@ -549,6 +552,20 @@ class Modem:
             self._drop_carrier()
             result.to_app += frame_result(NO_CARRIER)
         return result
+
+    def pump_timeout(self) -> float | None:
+        """Seconds until :meth:`carrier_pump` has work no input brings.
+
+        That is the end of the guard silence after a withheld ``+++``,
+        or the carrier's next look for received bytes; None when
+        neither is pending.
+        """
+        if self.carrier is None or self.mode is not Mode.DATA:
+            return None
+        timeouts = [self.carrier.poll_interval]
+        if self._plus_count == 3:
+            timeouts.append(max(0.0, self._plus_time + self.guard_seconds - self.clock()))
+        return min((t for t in timeouts if t is not None), default=None)
 
     def close(self) -> None:
         """Shut down any carrier (used when the deployment stops)."""

@@ -21,10 +21,6 @@ def proteus_dir(runtime_dir: Path | str | None = None) -> Path:
     return directory
 
 
-def endpoint_dir(runtime_dir: Path | str | None = None) -> Path:
-    return proteus_dir(runtime_dir)
-
-
 def default_socket_path(runtime_dir: Path | str | None = None) -> Path:
     return proteus_dir(runtime_dir) / "control.sock"
 

@@ -13,7 +13,7 @@ from proteus.manifest import Implementation, ModuleManifest
 class FakeEndpoint:
     """Endpoint stand-in that skips the PTY but keeps the contract."""
 
-    def __init__(self, deployment_id, app_handle, name, link_dir, on_activity):
+    def __init__(self, deployment_id, app_handle, name, link_dir):
         self.deployment_id = deployment_id
         self.handle = app_handle
         self.name = name
@@ -26,6 +26,9 @@ class FakeEndpoint:
 
     def notify(self):
         self.notified += 1
+
+    def pump_once(self):
+        return 0, 0
 
     def withdraw(self):
         # the real endpoint drains outbound bytes to the terminal before
@@ -50,10 +53,10 @@ class FakeEndpointFactory:
     def __init__(self):
         self.live = {}
 
-    def __call__(self, deployment_id, app_handle, name, link_dir, on_activity):
+    def __call__(self, deployment_id, app_handle, name, link_dir):
         if name in self.live and not self.live[name].withdrawn:
             raise NameInUseError(f"endpoint name already published: {name}")
-        endpoint = FakeEndpoint(deployment_id, app_handle, name, link_dir, on_activity)
+        endpoint = FakeEndpoint(deployment_id, app_handle, name, link_dir)
         self.live[name] = endpoint
         return endpoint
 

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import select
 import socket
+import threading
 import time
+import warnings
 
 import pytest
 
@@ -22,6 +26,9 @@ from proteus.control import (
 from proteus.daemon import Daemon
 from proteus.errors import AlreadyRunningError, ProtocolError
 from proteus.ham import SimulatedFpga
+from proteus.modem import GUARD_SECONDS
+
+from conftest import make_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +295,144 @@ def test_daemon_answers_at_dial_through_pty(daemon, tmp_path):
         assert b"\r\nCONNECT\r\n" in got
     finally:
         os.close(fd)
+
+
+def read_until(fd, marker, timeout=5.0):
+    """What a client that only reads gets until ``marker`` or the timeout."""
+    got = bytearray()
+    deadline = time.monotonic() + timeout
+    while marker not in got and time.monotonic() < deadline:
+        if select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            got.extend(os.read(fd, 4096))
+    return bytes(got)
+
+
+def dial(daemon, tmp_path, number, manifest=MODEM_YAML):
+    """Deploy the manifest's module, open its endpoint and dial ``number``."""
+    (tmp_path / "dialer.yaml").write_text(manifest)
+    with ControlClient(daemon.server.socket_path) as c:
+        module_id = c.request("load", path=str(tmp_path / "dialer.yaml"))["module_id"]
+        dep = c.request("deploy", module_id=module_id, ham_id="sim0")
+    fd = os.open(dep["link"], os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+    os.write(fd, b"ATD" + number + b"\r")
+    assert read_until(fd, b"\r\nCONNECT\r\n").endswith(b"\r\nCONNECT\r\n")
+    return fd
+
+
+def test_active_deployments_start_no_threads(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for i in range(3):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+    d.platform.load_module(make_manifest())
+    d.start()
+    try:
+        idle = threading.active_count()
+        for i in range(3):
+            d.loop.call(lambda ham_id=f"sim{i}": d.platform.deploy("modem", ham_id))
+        assert d.platform.active_count == 3
+        assert threading.active_count() == idle
+    finally:
+        d.stop()
+
+
+def test_call_after_stop_fails_at_once(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.start()
+    d.stop()
+    with pytest.raises(RuntimeError):
+        d.loop.call(lambda: None, timeout=5)
+
+
+def test_escape_answers_a_client_that_stays_silent(daemon, tmp_path):
+    fd = dial(daemon, tmp_path, b"5551234")
+    try:
+        time.sleep(GUARD_SECONDS)  # leading guard silence
+        os.write(fd, b"+++")
+        # nothing else is written: only the trailing guard time ends the escape
+        assert read_until(fd, b"\r\nOK\r\n", GUARD_SECONDS + 2) == b"\r\nOK\r\n"
+    finally:
+        os.close(fd)
+
+
+BRIDGE_YAML = """\
+module_id: bridge
+display_name: TCP bridge
+implementations:
+  - hardware_type: sim-fpga-v1
+    behavior: modem
+    image:
+      behavior: modem-stub
+config:
+  endpoint_name: bridge0
+  dial_plan: plan.conf
+"""
+
+
+def test_tcp_remote_bytes_and_hangup_reach_a_silent_client(daemon, tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(5)
+        port = server.getsockname()[1]
+        (tmp_path / "plan.conf").write_text(f"5550000 = tcp:127.0.0.1:{port}\n")
+        fd = dial(daemon, tmp_path, b"5550000", BRIDGE_YAML)
+        try:
+            remote, _ = server.accept()
+            with remote:
+                remote.sendall(b"hello from afar")
+            assert (read_until(fd, b"\r\nNO CARRIER\r\n")
+                    == b"hello from afar\r\nNO CARRIER\r\n")
+        finally:
+            os.close(fd)
+
+
+# ---------------------------------------------------------------------------
+# control sockets are closed, not left to the garbage collector
+
+
+def threads_settle_to(count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count() == count
+
+
+def resource_warnings(caught):
+    return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_served_connection_is_closed(daemon):
+    threads = threading.active_count()
+    fds = len(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with ControlClient(daemon.server.socket_path) as c:
+            c.request("status")
+            # the traceback of an error answer keeps the serving thread's
+            # frame, and so any file it left open, alive until collected
+            with pytest.raises(RemoteError):
+                c.request("undeploy", deployment_id="d404")
+        assert threads_settle_to(threads)  # the serving thread is done
+        assert len(os.listdir("/proc/self/fd")) == fds
+        gc.collect()
+    assert resource_warnings(caught) == []
+
+
+def test_client_that_resets_ends_its_serving_thread_quietly(daemon, monkeypatch):
+    crashes = []
+    monkeypatch.setattr(threading, "excepthook", crashes.append)
+    threads = threading.active_count()
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.connect(str(daemon.server.socket_path))
+    raw.sendall(b'{"op": "status"}\n{"op": "status"}\n')
+    time.sleep(0.05)
+    raw.close()  # answers unread: the daemon's next read sees a reset
+    assert threads_settle_to(threads)
+    assert crashes == []
+
+
+def test_failed_connect_closes_client_socket(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(FileNotFoundError):
+            ControlClient(tmp_path / "nothing.sock")
+        gc.collect()
+    assert resource_warnings(caught) == []

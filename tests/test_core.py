@@ -386,6 +386,20 @@ def test_pump_requires_active_deployment(platform, sim_ham, modem_manifest):
         platform.pump("d404")
 
 
+def test_pump_all_pumps_only_active_deployments(platform, sim_ham, shouter_manifest):
+    platform.register_ham(sim_ham)
+    platform.register_ham(SimulatedFpga("sim1", "sim-fpga-v1"))
+    platform.load_module(shouter_manifest)
+    for _ in range(200):
+        platform.undeploy(platform.deploy("shouter", "sim0"))
+    active = [platform.deploy("shouter", ham_id) for ham_id in ("sim0", "sim1")]
+    pumped = []
+    pump = platform.pump
+    platform.pump = lambda deployment_id: pumped.append(deployment_id) or pump(deployment_id)
+    platform.pump_all()
+    assert sorted(pumped) == sorted(active)
+
+
 def test_undeploy_flushes_buffered_output(platform, endpoint_factory, sim_ham, shouter_manifest):
     platform.register_ham(sim_ham)
     platform.load_module(shouter_manifest)

@@ -190,11 +190,15 @@ def test_withdraw_hangs_up_blocked_reader(real_platform):
 
 
 def test_withdraw_removes_link_and_stops_pump(real_platform, tmp_path):
+    fds_before = set(os.listdir("/proc/self/fd"))
+    threads_before = threading.active_count()
     dep = deploy_shouter(real_platform)
     endpoint = endpoint_of(real_platform, dep)
     real_platform.undeploy(dep)
     assert not (tmp_path / "proteus" / "loud0").is_symlink()
-    assert wait(lambda: not endpoint._thread.is_alive())
+    assert endpoint.open_count == 0
+    assert threading.active_count() <= threads_before
+    assert set(os.listdir("/proc/self/fd")) <= fds_before  # master closed
 
 
 def test_tail_of_stream_reaches_blocked_reader_before_hangup(real_platform):
@@ -217,10 +221,12 @@ def test_tail_of_stream_reaches_blocked_reader_before_hangup(real_platform):
     reader.start()
     os.write(fd, b"parting shot")
     endpoint = endpoint_of(real_platform, dep)
-    assert wait(lambda: endpoint.bytes_from_app >= 12)
-    real_platform.undeploy(dep)  # flushes the reply, then hangs up
+    # never pumped: the final pass of undeploy takes the line in, then
+    # lets the reader collect the reply before it hangs up
+    real_platform.undeploy(dep)
     reader.join(timeout=5)
     assert not reader.is_alive()
+    assert endpoint.bytes_from_app == 12
     assert bytes(got) == b"PARTING SHOT"
     os.close(fd)
 

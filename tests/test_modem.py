@@ -297,15 +297,18 @@ def test_escape_requires_silence_on_both_sides():
     clock = FakeClock()
     modem = fresh_modem(clock=clock)
     modem.feed(b"ATD5551234\r")
+    assert modem.pump_timeout() is None  # loopback needs no polling
     clock.advance(1.0)
     modem.feed(b"+++")
     assert modem.feed(b"").to_carrier == b""
     clock.advance(0.5)
     assert modem.carrier_pump().to_app == b""  # guard not yet satisfied
     assert modem.mode is Mode.DATA
+    assert modem.pump_timeout() == pytest.approx(0.5)  # when to look again
     clock.advance(0.5)
     assert responses(modem.carrier_pump().to_app) == [OK]
     assert modem.mode is Mode.COMMAND
+    assert modem.pump_timeout() is None
 
 
 def test_escape_completes_via_feed_as_well():
@@ -483,6 +486,8 @@ def test_tcp_carrier_bridges_both_directions(echo_server):
     modem.feed(b"ATE0\r")
     out = modem.feed(b"ATD42\r")
     assert responses(out.to_app) == [CONNECT]
+    # received bytes sit in a queue no fd announces
+    assert modem.pump_timeout() == modem.carrier.poll_interval
     modem.feed(b"marco")
     got = _pump_until(modem, lambda buf: b"marco" in buf)
     assert got == b"marco"
