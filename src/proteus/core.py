@@ -10,6 +10,7 @@ single thread of control (the platform loop when daemonized).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import time
@@ -115,6 +116,7 @@ class Deployment:
     endpoint: PtyEndpoint | None = None
     runtime: object | None = None
     out_pending: bytearray = field(default_factory=bytearray)
+    bytes_dropped: int = 0
 
 
 @dataclass
@@ -124,8 +126,9 @@ class PumpProgress:
 
 
 def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
-                              name: str, link_dir: Path) -> PtyEndpoint:
-    return PtyEndpoint(deployment_id, app_handle, name, link_dir)
+                              name: str, link_dir: Path,
+                              trace: TraceLog | None = None) -> PtyEndpoint:
+    return PtyEndpoint(deployment_id, app_handle, name, link_dir, trace)
 
 
 class Platform:
@@ -141,9 +144,10 @@ class Platform:
                  clock: Callable[[], float] = time.monotonic):
         self._endpoint_dir = proteus_dir(runtime_dir)
         self._capacity = channel_capacity
-        self._endpoint_factory = endpoint_factory or _default_endpoint_factory
         self._clock = clock
         self.trace = TraceLog()
+        self._endpoint_factory = endpoint_factory or functools.partial(
+            _default_endpoint_factory, trace=self.trace)
         self._hams: dict[str, tuple[HamDescriptor, Ham]] = {}
         self._modules: dict[str, ModuleManifest] = {}
         self._deployments: dict[str, Deployment] = {}
@@ -336,13 +340,15 @@ class Platform:
     # -- data path -----------------------------------------------------------
 
     def pump(self, deployment_id: str, _allow_stopping: bool = False) -> PumpProgress:
-        """Move one bounded batch PTY -> channel -> hardware -> module and back.
+        """Move what is ready PTY -> channel -> hardware -> module and back.
 
         Bytes the application wrote are run through the device image and
         the module behavior; whatever the module answers is written back
         toward the application and on to its PTY.  Everything runs on the
-        caller's thread.  Per-pass work is capped at one buffer's worth so
-        the loop stays fair across deployments.
+        caller's thread.  Intake is capped at one buffer's worth per pass
+        so the loop stays fair across deployments; output goes on to the
+        client for as long as it takes it, and once that makes room for
+        intake held back behind it, the pass goes on with that too.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
@@ -352,38 +358,46 @@ class Platform:
                 f"deployment {deployment_id} is {deployment.state.value}, not active")
 
         progress = PumpProgress()
-        handle = deployment.platform_handle
-        _, ham = self._hams[deployment.ham_id]
-        events: list = []
+        notified = 0
+        endpoint = deployment.endpoint
+        endpoint.pump_once()
+        while True:
+            held_back = self._take_in(deployment, progress)
+            # every notify makes room in the channel for more of out_pending
+            while progress.bytes_out > notified:
+                self.trace.emit(TraceKind.DATA_OUT, deployment_id=deployment_id,
+                                bytes=progress.bytes_out - notified)
+                notified = progress.bytes_out
+                endpoint.notify()
+                self._flush_out(deployment, progress)
+            if not held_back or len(deployment.out_pending) >= self._capacity:
+                return progress
+            endpoint.pump_once()  # the endpoint's intake can move again
 
-        deployment.endpoint.pump_once()
+    def _take_in(self, deployment: Deployment, progress: PumpProgress) -> bool:
+        """Run the application's bytes through hardware and module into
+        ``out_pending``; True if output backlog held intake back."""
         self._flush_out(deployment, progress)
-        if len(deployment.out_pending) < self._capacity:
-            data = handle.read(self._capacity)
+        held_back = len(deployment.out_pending) >= self._capacity
+        events: list = []
+        if not held_back:
+            data = deployment.platform_handle.read(self._capacity)
             if data:
-                progress.bytes_in = len(data)
+                progress.bytes_in += len(data)
                 self.trace.emit(TraceKind.DATA_IN,
-                                deployment_id=deployment_id, bytes=len(data))
-                processed = ham.process(data)
-                to_app, evs = deployment.runtime.handle_rx(processed)
+                                deployment_id=deployment.deployment_id, bytes=len(data))
+                _, ham = self._hams[deployment.ham_id]
+                to_app, events = deployment.runtime.handle_rx(ham.process(data))
                 deployment.out_pending += to_app
-                events += evs
         to_app, evs = deployment.runtime.poll()
         deployment.out_pending += to_app
-        events += evs
         self._flush_out(deployment, progress)
-
-        for event in events:
+        for event in events + evs:
             if event.get("kind") == "CommandParsed":
                 detail = {k: v for k, v in event.items() if k != "kind"}
                 self.trace.emit(TraceKind.COMMAND_PARSED,
-                                deployment_id=deployment_id, **detail)
-        if progress.bytes_out:
-            self.trace.emit(TraceKind.DATA_OUT,
-                            deployment_id=deployment_id, bytes=progress.bytes_out)
-        if progress.bytes_out:
-            deployment.endpoint.notify()
-        return progress
+                                deployment_id=deployment.deployment_id, **detail)
+        return held_back
 
     def _flush_out(self, deployment: Deployment, progress: PumpProgress) -> None:
         if not deployment.out_pending:
@@ -391,7 +405,12 @@ class Platform:
         try:
             accepted = deployment.platform_handle.write(bytes(deployment.out_pending))
         except ProteusError:
+            # the application side is gone: nothing can deliver these
+            dropped = len(deployment.out_pending)
             deployment.out_pending.clear()
+            deployment.bytes_dropped += dropped
+            self.trace.emit(TraceKind.DATA_DROPPED, deployment_id=deployment.deployment_id,
+                            bytes=dropped, where="platform")
             return
         if accepted:
             del deployment.out_pending[:accepted]
@@ -420,7 +439,9 @@ class Platform:
         None means none is due: the platform waits on I/O alone.  A
         timeout comes from an endpoint looking for a client, the modem's
         escape guard time or TCP carrier, or output held back by a full
-        channel.
+        channel.  The polls count from now, so a caller that pumps only
+        the deployments whose fd fired keeps the earliest deadline until
+        it has called :meth:`pump_all`.
         """
         timeouts = []
         for deployment_id in self._occupant.values():
@@ -484,6 +505,7 @@ class Platform:
             }
             if deployment.endpoint is not None and deployment.state is DeploymentState.ACTIVE:
                 entry["endpoint"] = deployment.endpoint.snapshot()
+                entry["bytes_dropped"] = deployment.bytes_dropped
             deployments.append(entry)
         return {
             "hams": hams,

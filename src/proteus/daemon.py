@@ -5,10 +5,13 @@ hand it through :meth:`PlatformLoop.call`, and the pump passes that move
 every deployment's bytes between its PTY and its module.  The thread
 blocks in one epoll on a wake eventfd and the PTY master of every
 attached endpoint, with a timeout only while a pass is due that no fd
-announces (see :meth:`proteus.core.Platform.pump_timeout`).  Control
-clients are handled concurrently but only ever touch the platform via
-:meth:`PlatformLoop.call`; trace followers read the (thread-safe) trace
-log directly.
+announces (see :meth:`proteus.core.Platform.pump_timeout`).  Each
+wake-up pumps only the deployments whose master fired; once that
+deadline has passed, or after :meth:`PlatformLoop.kick`, it pumps every
+active deployment once, so a busy neighbour cannot hold back a pass
+that is due.  Control clients are handled concurrently but only ever
+touch the platform via :meth:`PlatformLoop.call`; trace followers read
+the (thread-safe) trace log directly.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import os
 import select
 import socket
 import threading
+import time
 from collections import deque
 from pathlib import Path
 
 from .control import encode_response, parse_request
 from .core import Platform, Policy
-from .errors import AlreadyRunningError, ProteusError, ProtocolError
+from .errors import AlreadyRunningError, DeploymentNotActiveError, ProteusError, ProtocolError
 from .paths import default_socket_path
 
 logger = logging.getLogger(__name__)
@@ -50,6 +54,7 @@ class PlatformLoop:
         self._epoll = select.epoll()
         self._epoll.register(self._wake, select.EPOLLIN)
         self._watched: dict[str, int] = {}  # deployment_id -> registered fd
+        self._watchers: dict[int, str] = {}  # the same, by fd
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
@@ -80,18 +85,26 @@ class PlatformLoop:
             os.eventfd_write(self._wake, 1)
 
     def _run(self) -> None:
+        platform = self.platform
+        # when a pass over every deployment is due; kept across wake-ups
+        # that pump only what fired, since some timeouts are relative
+        deadline = None
         while not self._stop.is_set():
-            timeout = self.platform.pump_timeout()
-            events = self._epoll.poll(-1 if timeout is None else timeout)
-            pump = not events  # the timeout expired
+            timeout = platform.pump_timeout()
+            now = time.monotonic()
+            if timeout is None:
+                deadline = None  # nothing is due any more
+            elif deadline is None or now + timeout < deadline:
+                deadline = now + timeout
+            events = self._epoll.poll(-1 if deadline is None else max(0.0, deadline - now))
+            fired = []
             for fd, _ in events:
                 if fd == self._wake:
                     os.eventfd_read(self._wake)
                 else:
-                    pump = True
-            if self._kicked:
-                self._kicked = False
-                pump = True
+                    fired.append(self._watchers[fd])
+            due = self._kicked or (deadline is not None
+                                   and (not events or time.monotonic() >= deadline))
             while self._calls:
                 call = self._calls.popleft()
                 try:
@@ -100,15 +113,23 @@ class PlatformLoop:
                     call.error = exc
                 finally:
                     call.done.set()
-            # keep pumping while data is on the move
-            while pump and self.platform.pump_all():
-                if self._stop.is_set() or self._calls:
-                    break
+            if due:
+                self._kicked = False  # a kick that came in since is served by this pass
+                deadline = None
+                platform.pump_all()
+            else:
+                for deployment_id in fired:
+                    try:
+                        platform.pump(deployment_id)
+                    except DeploymentNotActiveError:
+                        pass  # a call above undeployed it
             self._watch()
 
     def _watch(self) -> None:
         """Make epoll watch exactly the fds the platform wants watched."""
         wanted = self.platform.watch_fds()
+        if wanted == self._watched:
+            return
         for deployment_id in self._watched.keys() - wanted.keys():
             try:
                 self._epoll.unregister(self._watched[deployment_id])
@@ -117,6 +138,7 @@ class PlatformLoop:
         for deployment_id in wanted.keys() - self._watched.keys():
             self._epoll.register(wanted[deployment_id], select.EPOLLIN)
         self._watched = wanted
+        self._watchers = {fd: deployment_id for deployment_id, fd in wanted.items()}
 
     def stop(self) -> None:
         if self._stop.is_set():
@@ -153,9 +175,6 @@ class ControlServer:
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(str(self.socket_path))
         self._listener.listen(8)
-        # set here, not in the accept thread: stop() may close the
-        # listener before that thread has even been scheduled
-        self._listener.settimeout(0.2)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._accept_loop,
                                         name="control-accept", daemon=True)
@@ -183,10 +202,8 @@ class ControlServer:
         while not self._stop.is_set():
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                break
+                break  # stop() shut the listener down
             threading.Thread(target=self._serve_client, args=(conn,),
                              daemon=True).start()
 
@@ -266,10 +283,12 @@ class ControlServer:
     def stop(self) -> None:
         self._stop.set()
         try:
-            self._listener.close()
+            # wakes a blocked accept() with EINVAL; closing alone would not
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._thread.join(timeout=2.0)
+        self._listener.close()  # only now: no accept() can still use its fd
         try:
             self.socket_path.unlink()
         except OSError:

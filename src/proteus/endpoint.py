@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .channel import ChannelHandle
 from .errors import NameInUseError, OsResourceError, ProteusError
+from .trace import TraceKind, TraceLog
 
 logger = logging.getLogger(__name__)
 
@@ -46,10 +47,11 @@ class PtyEndpoint:
     """
 
     def __init__(self, deployment_id: str, app_handle: ChannelHandle, name: str,
-                 link_dir: Path):
+                 link_dir: Path, trace: TraceLog | None = None):
         self.deployment_id = deployment_id
         self.name = name
         self._handle = app_handle
+        self._trace = trace
 
         link_dir = Path(link_dir)
         link_path = link_dir / name
@@ -84,6 +86,7 @@ class PtyEndpoint:
         self._sampled_at = time.monotonic()
         self.bytes_from_app = 0
         self.bytes_to_app = 0
+        self.bytes_dropped = 0
         self._in_pending = b""   # read from PTY, not yet accepted by channel
         self._out_pending = b""  # read from channel, not yet written to PTY
 
@@ -148,6 +151,10 @@ class PtyEndpoint:
             accepted = self._handle.write(self._in_pending)
         except ProteusError:
             # platform side gone; drop what cannot be delivered
+            self.bytes_dropped += len(self._in_pending)
+            if self._trace is not None:
+                self._trace.emit(TraceKind.DATA_DROPPED, deployment_id=self.deployment_id,
+                                 bytes=len(self._in_pending), where="endpoint")
             self._in_pending = b""
             return 0
         self.bytes_from_app += accepted
@@ -243,4 +250,5 @@ class PtyEndpoint:
             "sessions": self._sessions,
             "bytes_from_app": self.bytes_from_app,
             "bytes_to_app": self.bytes_to_app,
+            "bytes_dropped": self.bytes_dropped,
         }

@@ -26,9 +26,10 @@ class TraceKind(enum.Enum):
     UNDEPLOYED = "Undeployed"
     DEPLOY_REJECTED = "DeployRejected"
     DEPLOY_QUEUED = "DeployQueued"
+    DATA_DROPPED = "DataDropped"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     timestamp: float
@@ -57,12 +58,7 @@ class TraceLog:
 
     def emit(self, kind: TraceKind, **detail) -> TraceEvent:
         with self._cond:
-            event = TraceEvent(
-                seq=len(self._events),
-                timestamp=time.time(),
-                kind=kind,
-                detail=detail,
-            )
+            event = TraceEvent(len(self._events), time.time(), kind, detail)
             self._events.append(event)
             self._cond.notify_all()
         return event

@@ -44,7 +44,8 @@ class FakeEndpoint:
     def snapshot(self):
         return {"name": self.name, "path": self.os_path,
                 "link": str(self.link_path), "open_count": self.open_count,
-                "sessions": 0, "bytes_from_app": 0, "bytes_to_app": 0}
+                "sessions": 0, "bytes_from_app": 0, "bytes_to_app": 0,
+                "bytes_dropped": 0}
 
 
 class FakeEndpointFactory:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import threading
 import time
 
@@ -304,3 +305,32 @@ def test_duplex_channel_exposes_both_buffers():
     ch = DuplexChannel(16)
     assert ch.app_to_platform.capacity == 16
     assert ch.platform_to_app.capacity == 16
+
+
+def test_reader_gets_every_byte_before_end_of_stream_across_threads():
+    # the producer writes and closes while the consumer may be between
+    # draining the ring and looking at the peer: the tail must not be lost
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(200):
+            app, plat = create_duplex(64)
+            payload = bytes([round_no % 256]) * (1 + round_no % 40)
+            go = threading.Event()
+
+            def produce():
+                go.wait()
+                app.write(payload)
+                app.close()
+
+            producer = threading.Thread(target=produce)
+            producer.start()
+            received = bytearray()
+            go.set()
+            while (chunk := plat.read(64)) is not None:
+                received.extend(chunk)
+            producer.join(5)
+            assert not producer.is_alive()
+            assert bytes(received) == payload, f"round {round_no}"
+    finally:
+        sys.setswitchinterval(old)

@@ -23,7 +23,7 @@ from proteus.control import (
     encode_response,
     parse_request,
 )
-from proteus.daemon import Daemon
+from proteus.daemon import Daemon, PlatformLoop
 from proteus.errors import AlreadyRunningError, ProtocolError
 from proteus.ham import SimulatedFpga
 from proteus.modem import GUARD_SECONDS
@@ -436,3 +436,176 @@ def test_failed_connect_closes_client_socket(tmp_path):
             ControlClient(tmp_path / "nothing.sock")
         gc.collect()
     assert resource_warnings(caught) == []
+
+
+# ---------------------------------------------------------------------------
+# each wake-up pumps what fired, and every deployment once a deadline is due
+
+
+@pytest.fixture
+def two_modems(tmp_path):
+    """A daemon with modems deployed on sim0 and sim1 and a count of the
+    pump passes each gets."""
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for i, name in enumerate(("modem0", "modem1")):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+        d.platform.load_module(make_manifest(f"m{i}", config={"endpoint_name": name}))
+    passes = []
+    pump = d.platform.pump
+
+    def counting_pump(deployment_id, *args, **kwargs):
+        passes.append(deployment_id)
+        return pump(deployment_id, *args, **kwargs)
+
+    d.platform.pump = counting_pump
+    d.start()
+    deps = [d.loop.call(lambda i=i: d.platform.deploy(f"m{i}", f"sim{i}")) for i in range(2)]
+    fds = [os.open(d.platform.deployment_info(dep)["link"],
+                   os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK) for dep in deps]
+    try:
+        # status samples attachment, so from here on both masters are watched
+        deployments = d.loop.call(d.platform.status)["deployments"]
+        assert [e["endpoint"]["open_count"] for e in deployments] == [1, 1]
+        yield d, deps, fds, passes
+    finally:
+        for fd in fds:
+            os.close(fd)
+        d.stop()
+
+
+def test_echo_on_one_deployment_does_not_pump_the_other(two_modems):
+    d, (busy, idle), (fd, _), passes = two_modems
+    before = passes.count(idle)
+    payload = bytes(range(0x41, 0x41 + 50)) * 2  # no CR: echoed, never run
+    os.write(fd, payload)
+    assert read_until(fd, payload) == payload
+    d.loop.call(lambda: None)  # the loop has finished that wake-up
+    assert passes.count(busy) > 0
+    assert passes.count(idle) == before
+
+
+def test_one_echoed_byte_costs_one_pump_pass(two_modems):
+    d, (dep, _), (fd, _), passes = two_modems
+    d.loop.call(lambda: None)
+    before = len(passes)
+    os.write(fd, b"A")
+    assert read_until(fd, b"A") == b"A"
+    d.loop.call(lambda: None)
+    assert passes[before:] == [dep]
+
+
+def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for i, name in enumerate(("stream0", "fresh0")):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+        d.platform.load_module(make_manifest(f"m{i}", config={"endpoint_name": name}))
+    d.start()
+    stop = threading.Event()
+    streamed = [0]
+
+    def stream(fd):
+        # keep the neighbour's master firing: write and read back the loopback
+        chunk = b"\x55" * 512
+        while not stop.is_set():
+            readable, writable, _ = select.select([fd], [fd], [], 0.05)
+            if readable:
+                streamed[0] += len(os.read(fd, 65536))
+            if writable:
+                try:
+                    os.write(fd, chunk)
+                except BlockingIOError:
+                    pass
+
+    streamer = None
+    fd = None
+    try:
+        busy, fresh = (d.loop.call(lambda i=i: d.platform.deploy(f"m{i}", f"sim{i}"))
+                       for i in range(2))
+        fd = os.open(d.platform.deployment_info(busy)["link"],
+                     os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+        os.write(fd, b"ATE0\rATD5551234\r")
+        assert read_until(fd, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
+        streamer = threading.Thread(target=stream, args=(fd,))
+        streamer.start()
+        time.sleep(0.2)
+        assert streamed[0] > 0
+        client = os.open(d.platform.deployment_info(fresh)["link"],
+                         os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+        try:
+            sent = time.monotonic()
+            os.write(client, b"AT\r")
+            reply = read_until(client, b"\r\nOK\r\n", timeout=0.5)
+            assert reply.endswith(b"\r\nOK\r\n"), reply
+            assert time.monotonic() - sent < 0.5
+        finally:
+            os.close(client)
+        before = streamed[0]
+        time.sleep(0.05)
+        assert streamed[0] > before  # the neighbour was streaming all along
+    finally:
+        stop.set()
+        if streamer is not None:
+            streamer.join(5)
+            assert not streamer.is_alive()
+        if fd is not None:
+            os.close(fd)
+        d.stop()
+
+
+class BusyFdPlatform:
+    """Platform stand-in: a pass is always due soon, and its one watched
+    fd is readable on every poll."""
+
+    def __init__(self, fd):
+        self.fd = fd
+        self.passes = []
+
+    def pump_timeout(self):
+        return 0.02
+
+    def watch_fds(self):
+        return {"d0": self.fd}
+
+    def pump(self, deployment_id):
+        self.passes.append(deployment_id)
+
+    def pump_all(self):
+        self.passes.append("all")
+
+    def shutdown(self):
+        pass
+
+
+def test_due_deadline_is_served_while_an_fd_keeps_firing():
+    r, w = os.pipe()
+    os.write(w, b"x")  # never read: the fd fires on every poll
+    platform = BusyFdPlatform(r)
+    loop = PlatformLoop(platform)
+    loop.start()
+    try:
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            passes = list(platform.passes)
+            if "d0" in passes and "all" in passes[passes.index("d0"):]:
+                break
+            time.sleep(0.01)
+        # after the fd first fired, a full pass still came when due
+        assert "all" in passes[passes.index("d0"):]
+    finally:
+        loop.stop()
+        os.close(r)
+        os.close(w)
+
+
+def test_stop_ends_the_accept_thread_at_once(tmp_path):
+    threads = threading.active_count()
+    fds = len(os.listdir("/proc/self/fd"))
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.start()
+    time.sleep(0.05)  # the accept thread is blocked in accept()
+    started = time.monotonic()
+    d.stop()
+    assert time.monotonic() - started < 0.5
+    assert not d.server._thread.is_alive()
+    assert threading.active_count() == threads
+    assert len(os.listdir("/proc/self/fd")) == fds

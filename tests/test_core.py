@@ -24,7 +24,7 @@ from proteus.errors import (
 from proteus.ham import HamDescriptor, SimulatedFpga
 from proteus.manifest import Implementation, ModuleManifest
 
-from conftest import make_manifest
+from conftest import FakeEndpoint, make_manifest
 
 
 def kinds(platform):
@@ -398,6 +398,58 @@ def test_pump_all_pumps_only_active_deployments(platform, sim_ham, shouter_manif
     platform.pump = lambda deployment_id: pumped.append(deployment_id) or pump(deployment_id)
     platform.pump_all()
     assert sorted(pumped) == sorted(active)
+
+
+class PausableClient(FakeEndpoint):
+    """Endpoint whose client takes what the platform sends only while
+    ``reading`` is set, as a terminal that stops and resumes reading."""
+
+    reading = False
+
+    def _take(self):
+        while self.reading and (chunk := self.handle.read(4096)):
+            self.delivered.extend(chunk)
+
+    def pump_once(self):
+        self._take()
+        return 0, 0
+
+    def notify(self):
+        self._take()
+
+
+def test_pass_takes_in_input_once_a_resumed_client_clears_the_backlog(tmp_path, sim_ham):
+    platform = Platform(runtime_dir=tmp_path, channel_capacity=16,
+                        endpoint_factory=PausableClient)
+    platform.register_ham(sim_ham)
+    platform.load_module(make_manifest())
+    dep = platform.deploy("modem", "sim0")
+    client = platform._deployments[dep].endpoint
+    batch = b"A\r" * 8  # each line echoes and answers ERROR: 88 bytes out
+    answer = b"A\r\r\nERROR\r\n" * 8
+    client.handle.write(batch)
+    platform.pump(dep)  # the answer backs up behind the stalled client
+    client.handle.write(batch)
+    platform.pump(dep)  # held back: the backlog is over a channel's worth
+    client.reading = True
+    platform.pump(dep)
+    # one pass clears the backlog and then answers the second batch too
+    assert bytes(client.delivered) == answer * 2
+
+
+def test_output_without_an_application_side_is_counted_and_traced(
+        platform, endpoint_factory, sim_ham, shouter_manifest):
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    dep = platform.deploy("shouter", "sim0")
+    handle = app_handle(endpoint_factory, "shouter-sim0")
+    handle.write(b"nobody hears")
+    handle.close()  # the answer has nowhere to go
+    platform.pump(dep)
+    drops = [e.detail for e in platform.trace.events() if e.kind.value == "DataDropped"]
+    assert drops == [{"deployment_id": dep, "bytes": 12, "where": "platform"}]
+    entry, = platform.status()["deployments"]
+    assert entry["bytes_dropped"] == 12
 
 
 def test_undeploy_flushes_buffered_output(platform, endpoint_factory, sim_ham, shouter_manifest):

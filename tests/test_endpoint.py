@@ -9,9 +9,12 @@ import time
 
 import pytest
 
+from proteus.channel import create_duplex
 from proteus.core import Platform
+from proteus.endpoint import PtyEndpoint
 from proteus.errors import NameInUseError
 from proteus.ham import SimulatedFpga
+from proteus.trace import TraceLog
 
 from conftest import make_manifest
 
@@ -276,6 +279,51 @@ def test_fast_writer_is_throttled_not_dropped(real_platform):
         assert bytes(got) == payload.upper()
     finally:
         os.close(fd)
+
+
+def test_one_pass_delivers_answers_larger_than_the_channel(tmp_path):
+    platform = Platform(runtime_dir=tmp_path, channel_capacity=16)
+    platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    platform.load_module(make_manifest(config={"endpoint_name": "small0"}))
+    dep = platform.deploy("modem", "sim0")
+    fd = open_client(platform.deployment_info(dep)["link"])
+    try:
+        os.write(fd, b"AT\r" * 5)  # echo plus five OKs: 45 bytes of answer
+        endpoint = endpoint_of(platform, dep)
+        deadline = time.monotonic() + 5
+        while endpoint.bytes_from_app < 15 and time.monotonic() < deadline:
+            platform.pump(dep)
+            time.sleep(0.005)
+        # no further pass: the pass that took the commands in delivered it all
+        want = b"AT\r\r\nOK\r\n" * 5
+        got = bytearray()
+        while len(got) < len(want) and time.monotonic() < deadline:
+            got.extend(read_available(fd))
+            time.sleep(0.005)
+        assert bytes(got) == want
+    finally:
+        os.close(fd)
+        platform.shutdown()
+
+
+def test_input_without_a_platform_side_is_counted_and_traced(tmp_path):
+    app, platform_side = create_duplex()
+    platform_side.close()  # whatever the client writes has nowhere to go
+    trace = TraceLog()
+    endpoint = PtyEndpoint("d7", app, "orphan0", tmp_path, trace)
+    fd = open_client(endpoint.link_path)
+    try:
+        os.write(fd, b"lost")
+        deadline = time.monotonic() + 5
+        while endpoint.bytes_dropped < 4 and time.monotonic() < deadline:
+            endpoint.pump_once()
+            time.sleep(0.005)
+        assert endpoint.snapshot()["bytes_dropped"] == 4
+        assert [(e.kind.value, e.detail) for e in trace.events()] == [
+            ("DataDropped", {"deployment_id": "d7", "bytes": 4, "where": "endpoint"})]
+    finally:
+        os.close(fd)
+        endpoint.withdraw()
 
 
 # ---------------------------------------------------------------------------
