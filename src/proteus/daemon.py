@@ -1,21 +1,24 @@
 """Platform daemon: the single event loop plus the control socket server.
 
-All platform work runs on one loop thread: the calls control clients
-hand it through :meth:`PlatformLoop.call`, and the pump passes that move
-every deployment's bytes between its PTY and its module.  The thread
-blocks in one epoll on a wake eventfd and the PTY master of every
-attached endpoint, with a timeout only while a pass is due that no fd
+All platform work runs on one loop thread: the control requests, and
+the pump passes that move every deployment's bytes between its PTY and
+its module.  The thread blocks in one epoll on a wake eventfd, the PTY
+master of every attached endpoint, the control listener and every
+control connection, with a timeout only while a pass is due that no fd
 announces (see :meth:`proteus.core.Platform.pump_timeout`).  Each
-wake-up pumps only the deployments whose master fired; once that
-deadline has passed, or after :meth:`PlatformLoop.kick`, it pumps every
-active deployment once, so a busy neighbour cannot hold back a pass
-that is due.  Control clients are handled concurrently but only ever
-touch the platform via :meth:`PlatformLoop.call`; trace followers read
-the (thread-safe) trace log directly.
+wake-up serves the control connections that are ready, then pumps only
+the deployments whose master fired; once that deadline has passed, or
+after :meth:`PlatformLoop.kick`, it pumps every active deployment once,
+so a busy neighbour cannot hold back a pass that is due.  A control
+request reaches the platform through :meth:`PlatformLoop.call`, which
+runs in place on the loop thread; other threads (tests, embedders)
+still hand their calls to the loop.  Only trace followers have a thread
+each: they stream from the (thread-safe) trace log.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -28,10 +31,21 @@ from pathlib import Path
 
 from .control import encode_response, parse_request
 from .core import Platform, Policy
-from .errors import AlreadyRunningError, DeploymentNotActiveError, ProteusError, ProtocolError
+from .errors import (
+    AlreadyRunningError,
+    DeploymentNotActiveError,
+    ProteusError,
+    ProtocolError,
+    RequestTooLongError,
+    TooManyClientsError,
+)
 from .paths import default_socket_path
 
 logger = logging.getLogger(__name__)
+
+MAX_LINE = 64 * 1024  # longest request line served, without its newline
+MAX_CLIENTS = 64  # control connections served at once
+RECV_SIZE = 64 * 1024
 
 
 class _Call:
@@ -53,8 +67,10 @@ class PlatformLoop:
         self._wake_lock = threading.Lock()  # no write once stop closed it
         self._epoll = select.epoll()
         self._epoll.register(self._wake, select.EPOLLIN)
-        self._watched: dict[str, int] = {}  # deployment_id -> registered fd
-        self._watchers: dict[int, str] = {}  # the same, by fd
+        self._watched: dict[str, int] = {}  # deployment_id -> registered PTY master
+        # registered fd -> the deployment it pumps, or the handler it calls;
+        # a closed fd whose number was reused belongs to its new owner
+        self._owner: dict[int, object] = {}
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
@@ -63,7 +79,15 @@ class PlatformLoop:
         self._thread.start()
 
     def call(self, fn, timeout: float = 30.0):
-        """Run ``fn`` on the loop thread and return its result."""
+        """Run ``fn`` on the loop thread and return its result.
+
+        On the loop thread itself, as for a control request, ``fn`` runs
+        in place.
+        """
+        if threading.current_thread() is self._thread:
+            return fn()
+        if not self._thread.is_alive():
+            raise RuntimeError("platform loop is not running")
         call = _Call(fn)
         self._calls.append(call)
         self._wake_up()
@@ -77,6 +101,23 @@ class PlatformLoop:
         """Ask the loop for a pump pass now; safe from any thread, coalesces."""
         self._kicked = True
         self._wake_up()
+
+    def register(self, fd: int, handler) -> None:
+        """Call ``handler()`` whenever ``fd`` is readable, or as :meth:`modify` says.
+
+        This, :meth:`modify` and :meth:`unregister` run on the loop
+        thread.  A handler may be called when ``fd`` is not ready after
+        all, for a closed fd whose number it reused.
+        """
+        self._epoll.register(fd, select.EPOLLIN)
+        self._owner[fd] = handler
+
+    def modify(self, fd: int, events: int) -> None:
+        self._epoll.modify(fd, events)
+
+    def unregister(self, fd: int) -> None:
+        del self._owner[fd]
+        self._epoll.unregister(fd)
 
     def _wake_up(self) -> None:
         with self._wake_lock:
@@ -99,10 +140,13 @@ class PlatformLoop:
             events = self._epoll.poll(-1 if deadline is None else max(0.0, deadline - now))
             fired = []
             for fd, _ in events:
+                owner = self._owner.get(fd)
                 if fd == self._wake:
                     os.eventfd_read(self._wake)
-                else:
-                    fired.append(self._watchers[fd])
+                elif isinstance(owner, str):
+                    fired.append(owner)
+                elif owner is not None:  # None: unregistered by a handler above
+                    owner()
             due = self._kicked or (deadline is not None
                                    and (not events or time.monotonic() >= deadline))
             while self._calls:
@@ -126,19 +170,22 @@ class PlatformLoop:
             self._watch()
 
     def _watch(self) -> None:
-        """Make epoll watch exactly the fds the platform wants watched."""
+        """Make epoll watch exactly the PTY masters the platform wants watched."""
         wanted = self.platform.watch_fds()
         if wanted == self._watched:
             return
-        for deployment_id in self._watched.keys() - wanted.keys():
+        for deployment_id, fd in self._watched.items() - wanted.items():
+            if self._owner.get(fd) != deployment_id:
+                continue  # closed with its endpoint, and the number reused since
+            del self._owner[fd]
             try:
-                self._epoll.unregister(self._watched[deployment_id])
+                self._epoll.unregister(fd)
             except OSError:
                 pass  # closed with its endpoint, which also unregistered it
-        for deployment_id in wanted.keys() - self._watched.keys():
-            self._epoll.register(wanted[deployment_id], select.EPOLLIN)
+        for deployment_id, fd in wanted.items() - self._watched.items():
+            self._epoll.register(fd, select.EPOLLIN)
+            self._owner[fd] = deployment_id
         self._watched = wanted
-        self._watchers = {fd: deployment_id for deployment_id, fd in wanted.items()}
 
     def stop(self) -> None:
         if self._stop.is_set():
@@ -165,8 +212,31 @@ class PlatformLoop:
                 self._wake = -1
 
 
+def _error_reply(exc: ProteusError) -> bytes:
+    return encode_response(False, error_code=exc.code, error_message=exc.message)
+
+
+class _Connection:
+    """A control client: the bytes it sent and the answer it is still owed."""
+
+    __slots__ = ("sock", "fd", "inbox", "outbox", "writing")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.fd = sock.fileno()
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.writing = False  # watching for room to send, not for requests
+
+
 class ControlServer:
-    """Accepts control connections and dispatches requests to the loop."""
+    """Serves control connections on the platform loop's thread.
+
+    Each connection reads requests up to ``\\n`` and gets each answer
+    sent at once.  While part of an answer is unsent the connection
+    waits for room and reads no further request, so a client that stops
+    reading holds one answer and never stalls the loop.
+    """
 
     def __init__(self, loop: PlatformLoop, socket_path: Path | str | None = None):
         self.loop = loop
@@ -175,9 +245,10 @@ class ControlServer:
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         self._listener.bind(str(self.socket_path))
         self._listener.listen(8)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._accept_loop,
-                                        name="control-accept", daemon=True)
+        self._listener.setblocking(False)
+        self._connections: set[_Connection] = set()
+        self._followers: list[threading.Thread] = []  # one per trace --follow
+        self._stop = threading.Event()  # ends the trace followers
 
     def _claim_socket(self) -> None:
         if not self.socket_path.exists():
@@ -196,50 +267,109 @@ class ControlServer:
             probe.close()
 
     def start(self) -> None:
-        self._thread.start()
+        self.loop.call(lambda: self.loop.register(self._listener.fileno(), self._accept))
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    def _accept(self) -> None:
+        while True:
             try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # stop() shut the listener down
-            threading.Thread(target=self._serve_client, args=(conn,),
-                             daemon=True).start()
-
-    def _serve_client(self, conn: socket.socket) -> None:
-        with conn, conn.makefile("rb") as fh:
-            try:
-                while not self._stop.is_set():
-                    line = fh.readline()
-                    if not line:
-                        return
-                    self._handle_line(conn, line)
-            except (BrokenPipeError, ConnectionResetError):
+                sock, _ = self._listener.accept()
+            except BlockingIOError:
+                return  # accepted every pending connection
+            except OSError as exc:
+                logger.warning("control accept failed: %s", exc)
                 return
+            sock.setblocking(False)
+            self._followers = [t for t in self._followers if t.is_alive()]
+            if len(self._connections) + len(self._followers) >= MAX_CLIENTS:
+                with sock:
+                    try:
+                        sock.send(_error_reply(TooManyClientsError(
+                            f"the daemon serves at most {MAX_CLIENTS} control connections")))
+                    except OSError:
+                        pass  # gone already
+                continue
+            conn = _Connection(sock)
+            self._connections.add(conn)
+            self.loop.register(conn.fd, functools.partial(self._serve, conn))
 
-    def _handle_line(self, conn: socket.socket, line: bytes) -> None:
+    def _serve(self, conn: _Connection) -> None:
+        """``conn`` is ready: send what it is owed, or read and answer."""
+        if conn.outbox:
+            self._flush(conn)
+        else:
+            try:
+                data = conn.sock.recv(RECV_SIZE)
+            except BlockingIOError:
+                return  # woken for the closed fd whose number it reused
+            except OSError:
+                data = b""  # reset by the client
+            if not data:
+                if conn.inbox:  # a last request without its newline
+                    self._handle_line(conn, bytes(conn.inbox))
+                self._close(conn)
+                return
+            conn.inbox += data
+        self._answer(conn)
+
+    def _answer(self, conn: _Connection) -> None:
+        """Answer each complete request line until an answer is left unsent."""
+        while not conn.outbox and conn in self._connections:
+            end = conn.inbox.find(b"\n", 0, MAX_LINE + 1)
+            if end < 0:
+                if len(conn.inbox) > MAX_LINE:
+                    self._send(conn, _error_reply(RequestTooLongError(
+                        f"request lines are at most {MAX_LINE} bytes")))
+                    self._close(conn)
+                return
+            line = bytes(conn.inbox[:end + 1])
+            del conn.inbox[:end + 1]
+            self._handle_line(conn, line)
+
+    def _send(self, conn: _Connection, reply: bytes) -> None:
+        conn.outbox += reply
+        self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Send what ``conn`` is owed; wait for room while some is left."""
+        try:
+            sent = conn.sock.send(conn.outbox)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
+            self._close(conn)  # the client went away
+            return
+        del conn.outbox[:sent]
+        writing = bool(conn.outbox)
+        if writing is not conn.writing:
+            conn.writing = writing
+            self.loop.modify(conn.fd, select.EPOLLOUT if writing else select.EPOLLIN)
+
+    def _release(self, conn: _Connection) -> bool:
+        """Stop serving ``conn`` on the loop; False if that happened already."""
+        if conn not in self._connections:
+            return False
+        self._connections.remove(conn)
+        self.loop.unregister(conn.fd)
+        return True
+
+    def _close(self, conn: _Connection) -> None:
+        if self._release(conn):
+            conn.sock.close()
+
+    def _handle_line(self, conn: _Connection, line: bytes) -> None:
         try:
             request = parse_request(line)
-        except ProtocolError as exc:
-            conn.sendall(encode_response(False, error_code=exc.code,
-                                         error_message=exc.message))
-            return
-        try:
-            if request.op == "trace":
-                self._handle_trace(conn, request.args)
+            if request.op == "trace" and request.args.get("follow"):
+                self._follow_trace(conn, request.args)
                 return
-            payload = self._dispatch(request.op, request.args)
+            reply = encode_response(True, self._dispatch(request.op, request.args))
         except ProteusError as exc:
-            conn.sendall(encode_response(False, error_code=exc.code,
-                                         error_message=exc.message))
-            return
+            reply = _error_reply(exc)
         except Exception as exc:
-            logger.exception("request failed: %s", request.op)
-            conn.sendall(encode_response(False, error_code="internal-error",
-                                         error_message=str(exc)))
-            return
-        conn.sendall(encode_response(True, payload))
+            logger.exception("request failed: %r", line[:200])
+            reply = encode_response(False, error_code="internal-error",
+                                    error_message=str(exc))
+        self._send(conn, reply)
 
     def _dispatch(self, op: str, args: dict) -> dict:
         platform = self.loop.platform
@@ -260,39 +390,50 @@ class ControlServer:
         if op == "undeploy":
             self.loop.call(lambda: platform.undeploy(args["deployment_id"]))
             return {"deployment_id": args["deployment_id"]}
+        if op == "trace":
+            from_seq = int(args.get("from_seq") or 0)
+            return {"events": [e.to_dict() for e in platform.trace.events(from_seq)]}
         raise ProtocolError(f"unhandled op {op!r}")
 
-    def _handle_trace(self, conn: socket.socket, args: dict) -> None:
-        platform = self.loop.platform
-        from_seq = int(args.get("from_seq") or 0)
-        if not args.get("follow"):
-            events = [e.to_dict() for e in platform.trace.events(from_seq)]
-            conn.sendall(encode_response(True, {"events": events}))
-            return
-        subscription = platform.trace.subscribe(from_seq)
-        conn.sendall(encode_response(True, {"streaming": True}))
-        while not self._stop.is_set():
-            event = subscription.next(timeout=0.2)
-            if event is None:
-                continue
+    def _follow_trace(self, conn: _Connection, args: dict) -> None:
+        """Hand ``conn`` to a thread that streams trace events to it."""
+        subscription = self.loop.platform.trace.subscribe(int(args.get("from_seq") or 0))
+        self._release(conn)
+        conn.sock.setblocking(True)
+        follower = threading.Thread(target=self._stream_trace,
+                                    args=(conn.sock, subscription),
+                                    name="trace-follower", daemon=True)
+        follower.start()
+        self._followers.append(follower)
+
+    def _stream_trace(self, sock: socket.socket, subscription) -> None:
+        with sock:
             try:
-                conn.sendall(json.dumps({"event": event.to_dict()}).encode() + b"\n")
+                sock.sendall(encode_response(True, {"streaming": True}))
+                while not self._stop.is_set():
+                    event = subscription.next(timeout=0.2)
+                    if event is not None:
+                        sock.sendall(json.dumps({"event": event.to_dict()}).encode() + b"\n")
             except OSError:
-                return
+                return  # the follower went away
 
     def stop(self) -> None:
+        """Close the listener and every connection; trace followers end too."""
         self._stop.set()
-        try:
-            # wakes a blocked accept() with EINVAL; closing alone would not
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._thread.join(timeout=2.0)
-        self._listener.close()  # only now: no accept() can still use its fd
+        if self._listener.fileno() >= 0:
+            self.loop.call(self._close_all)
+        for follower in self._followers:
+            follower.join(timeout=1.0)  # each wakes within 0.2 s
         try:
             self.socket_path.unlink()
         except OSError:
             pass
+
+    def _close_all(self) -> None:
+        self.loop.unregister(self._listener.fileno())
+        self._listener.close()
+        for conn in list(self._connections):
+            self._close(conn)
 
 
 class Daemon:

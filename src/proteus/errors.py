@@ -116,3 +116,11 @@ class AlreadyRunningError(ProteusError):
 
 class ProtocolError(ProteusError):
     code = "protocol-error"
+
+
+class RequestTooLongError(ProteusError):
+    code = "request-too-long"
+
+
+class TooManyClientsError(ProteusError):
+    code = "too-many-clients"

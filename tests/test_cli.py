@@ -190,5 +190,6 @@ def test_daemon_subcommand_serves_until_sigterm(tmp_path):
     finally:
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=15)
+        proc.stdout.close()
     assert rc == 0
     assert not sock.exists()

@@ -23,7 +23,7 @@ from proteus.control import (
     encode_response,
     parse_request,
 )
-from proteus.daemon import Daemon, PlatformLoop
+from proteus.daemon import MAX_CLIENTS, MAX_LINE, Daemon, PlatformLoop
 from proteus.errors import AlreadyRunningError, ProtocolError
 from proteus.ham import SimulatedFpga
 from proteus.modem import GUARD_SECONDS
@@ -395,6 +395,17 @@ def threads_settle_to(count, timeout=5.0):
     return threading.active_count() == count
 
 
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def fds_settle_to(count, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while open_fds() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return open_fds() == count
+
+
 def resource_warnings(caught):
     return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
 
@@ -410,8 +421,8 @@ def test_served_connection_is_closed(daemon):
             # frame, and so any file it left open, alive until collected
             with pytest.raises(RemoteError):
                 c.request("undeploy", deployment_id="d404")
-        assert threads_settle_to(threads)  # the serving thread is done
-        assert len(os.listdir("/proc/self/fd")) == fds
+        assert threads_settle_to(threads)  # nothing was left running
+        assert fds_settle_to(fds)  # the loop closes its end once it sees the hangup
         gc.collect()
     assert resource_warnings(caught) == []
 
@@ -597,15 +608,198 @@ def test_due_deadline_is_served_while_an_fd_keeps_firing():
         os.close(w)
 
 
-def test_stop_ends_the_accept_thread_at_once(tmp_path):
+def test_stop_is_prompt_and_leaves_no_thread_fd_or_socket(tmp_path):
     threads = threading.active_count()
     fds = len(os.listdir("/proc/self/fd"))
     d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
     d.start()
-    time.sleep(0.05)  # the accept thread is blocked in accept()
+    time.sleep(0.05)  # the loop is waiting in epoll
     started = time.monotonic()
     d.stop()
     assert time.monotonic() - started < 0.5
-    assert not d.server._thread.is_alive()
     assert threading.active_count() == threads
     assert len(os.listdir("/proc/self/fd")) == fds
+    assert not (tmp_path / "ctl.sock").exists()
+
+
+def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    d.platform.load_module(make_manifest())
+    d.start()
+    client = None
+    pair = ()
+    try:
+        dep = d.loop.call(lambda: d.platform.deploy("modem", "sim0"))
+        client = os.open(d.platform.deployment_info(dep)["link"],
+                         os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+        d.loop.call(d.platform.status)  # samples attachment: the master is watched
+        master = d.loop.call(d.platform.watch_fds)[dep]
+        fired = threading.Event()
+
+        def undeploy_then_reuse_the_master_fd():
+            d.platform.undeploy(dep)  # closing the master drops it from epoll
+            ours, theirs = socket.socketpair()
+            d.loop.register(ours.fileno(), fired.set)
+            return ours, theirs
+
+        pair = d.loop.call(undeploy_then_reuse_the_master_fd)
+        assert pair[0].fileno() == master  # Linux hands out the lowest free fd
+        pair[1].send(b"x")
+        assert fired.wait(1.0)
+        d.loop.call(lambda: d.loop.unregister(pair[0].fileno()))
+    finally:
+        for sock in pair:
+            sock.close()
+        if client is not None:
+            os.close(client)
+        d.stop()
+
+
+# ---------------------------------------------------------------------------
+# control clients are served on the loop thread, within bounds
+
+
+def recv_line(sock):
+    got = b""
+    while not got.endswith(b"\n"):
+        chunk = sock.recv(65536)
+        if not chunk:
+            break
+        got += chunk
+    return got
+
+
+def hung_up(sock):
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True  # closed before it read all we sent
+
+
+def connect_raw(daemon):
+    raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    raw.settimeout(5)
+    raw.connect(str(daemon.server.socket_path))
+    return raw
+
+
+def test_idle_control_connections_add_no_thread(daemon):
+    threads = threading.active_count()
+    clients = []
+    try:
+        for _ in range(10):
+            clients.append(ControlClient(daemon.server.socket_path))
+            clients[-1].request("start")
+        assert threading.active_count() == threads
+    finally:
+        for c in clients:
+            c.close()
+
+
+def test_overlong_request_line_gets_one_error_and_is_closed(daemon):
+    request = b'{"op": "status"}'
+    with connect_raw(daemon) as raw:
+        # the longest line served: whitespace is valid JSON
+        raw.sendall(b" " * (MAX_LINE - len(request)) + request + b"\n")
+        assert json.loads(recv_line(raw))["ok"] is True
+        raw.sendall(b" " * (MAX_LINE + 1))
+        reply = json.loads(recv_line(raw))
+        assert reply["error"]["code"] == "request-too-long"
+        assert hung_up(raw)
+    with ControlClient(daemon.server.socket_path) as c:
+        assert c.request("start")["running"] is True
+
+
+def test_connections_beyond_the_bound_are_refused(daemon):
+    clients = []
+    try:
+        for _ in range(MAX_CLIENTS):
+            clients.append(ControlClient(daemon.server.socket_path))
+            clients[-1].request("start")
+        with connect_raw(daemon) as refused:
+            reply = json.loads(recv_line(refused))
+            assert reply["error"]["code"] == "too-many-clients"
+            assert hung_up(refused)
+        assert clients[0].request("start")["running"] is True
+        fds = open_fds()
+        clients.pop().close()
+        assert fds_settle_to(fds - 2)  # both ends: the loop has seen the hangup
+        with ControlClient(daemon.server.socket_path) as c:
+            assert c.request("start")["running"] is True
+    finally:
+        for c in clients:
+            c.close()
+
+
+def test_half_a_request_line_does_not_delay_another_client(daemon):
+    with connect_raw(daemon) as slow, ControlClient(daemon.server.socket_path) as other:
+        slow.sendall(b'{"op": "sta')
+        daemon.loop.call(lambda: None)  # the daemon holds the half line
+        started = time.monotonic()
+        assert "hams" in other.request("status")["status"]
+        assert time.monotonic() - started < 0.5
+        slow.sendall(b'tus"}\n')
+        assert json.loads(recv_line(slow))["ok"] is True
+
+
+def test_client_that_reads_nothing_does_not_stall_the_loop(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    d.platform.load_module(make_manifest())
+    answered = []
+    status = d.platform.status
+
+    def counting_status():
+        answered.append(1)
+        return status()
+
+    d.platform.status = counting_status
+    d.start()
+    fd = None
+    try:
+        dep = d.loop.call(lambda: d.platform.deploy("modem", "sim0"))
+        fd = os.open(d.platform.deployment_info(dep)["link"],
+                     os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+        d.loop.call(d.platform.status)  # samples attachment: the master is watched
+        answered.clear()
+        with connect_raw(d) as greedy:
+            greedy.sendall(b'{"op": "status"}\n' * 2000)
+            sent = time.monotonic()
+            os.write(fd, b"A")
+            assert read_until(fd, b"A", timeout=0.5) == b"A"
+            assert time.monotonic() - sent < 0.5
+            d.loop.call(lambda: None)
+            # its answers are unsent, so the daemon stopped reading it
+            assert len(answered) < 2000
+            replies = b""
+            while replies.count(b"\n") < 2000:
+                replies += greedy.recv(65536)
+            assert all(json.loads(line)["ok"] for line in replies.splitlines())
+            assert len(replies.splitlines()) == 2000
+    finally:
+        if fd is not None:
+            os.close(fd)
+        d.stop()
+
+
+def test_trace_follow_ends_when_the_daemon_stops(tmp_path):
+    threads = threading.active_count()
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    d.start()
+    follower = ControlClient(d.server.socket_path)
+    try:
+        stream = follower.follow_trace()
+        assert next(stream)["kind"] == "HamRegistered"
+        d.loop.call(lambda: d.platform.load_module(make_manifest()))
+        assert next(stream)["kind"] == "ModuleLoaded"
+        started = time.monotonic()
+        d.stop()
+        for _ in stream:
+            pass  # ends once the daemon hangs up
+        assert time.monotonic() - started < 1.0
+        assert threading.active_count() == threads
+    finally:
+        follower.close()
+        d.stop()
