@@ -25,6 +25,17 @@ REQUEST_SCHEMA: dict[str, tuple[tuple[str, ...], dict]] = {
     "load": (("path",), {}),
 }
 
+# argument name -> (test of a valid value, what a valid value is)
+_ARG_TYPES = {
+    "module_id": (lambda v: isinstance(v, str), "a string"),
+    "ham_id": (lambda v: isinstance(v, str), "a string"),
+    "deployment_id": (lambda v: isinstance(v, str), "a string"),
+    "path": (lambda v: isinstance(v, str), "a string"),
+    "policy": (lambda v: v in ("reject", "queue"), '"reject" or "queue"'),
+    "follow": (lambda v: isinstance(v, bool), "true or false"),
+    "from_seq": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+}
+
 
 @dataclass(frozen=True)
 class ControlRequest:
@@ -54,6 +65,10 @@ def parse_request(line: bytes | str) -> ControlRequest:
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ProtocolError(f"op {op!r} does not accept {sorted(unknown)}")
+    for name, value in doc.items():
+        valid, what = _ARG_TYPES[name]
+        if not valid(value):
+            raise ProtocolError(f"{name!r} must be {what}, got {value!r}")
     args = dict(optional)
     args.update(doc)
     return ControlRequest(op=op, args=args)
@@ -111,8 +126,13 @@ class ControlClient:
         return doc
 
     def follow_trace(self, from_seq: int = 0):
-        """Generator over trace events; runs until either side disconnects."""
+        """Generator over trace events; runs until either side disconnects.
+
+        Once the daemon has acknowledged the stream, waiting for the next
+        event has no timeout: a quiet trace is not a dead daemon.
+        """
         self.request("trace", follow=True, from_seq=from_seq)
+        self._sock.settimeout(None)
         while True:
             line = self._file.readline()
             if not line:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import logging
+import select
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -67,6 +68,12 @@ class IdentityRuntime:
     def poll(self) -> tuple[bytes, list]:
         return b"", []
 
+    def accepts_input(self) -> bool:
+        return True
+
+    def watch(self, room: bool) -> None:
+        return None
+
     def pump_timeout(self) -> float | None:
         return None
 
@@ -74,29 +81,21 @@ class IdentityRuntime:
         pass
 
 
-class ModemRuntime:
-    """Binds the AT interpreter behind the hardware leg of the data path."""
+class ModemRuntime(Modem):
+    """The AT interpreter behind the hardware leg of the data path."""
 
     def __init__(self, config: dict, clock: Callable[[], float]):
-        plan = None
         plan_path = config.get("dial_plan")
-        if plan_path:
-            plan = load_dial_plan(plan_path)
-        self.modem = Modem(dial_plan=plan, clock=clock)
+        super().__init__(dial_plan=load_dial_plan(plan_path) if plan_path else None,
+                         clock=clock)
 
     def handle_rx(self, data: bytes) -> tuple[bytes, list]:
-        result = self.modem.feed(data)
+        result = self.feed(data)
         return result.to_app, result.events
 
     def poll(self) -> tuple[bytes, list]:
-        result = self.modem.carrier_pump()
+        result = self.carrier_pump()
         return result.to_app, result.events
-
-    def pump_timeout(self) -> float | None:
-        return self.modem.pump_timeout()
-
-    def close(self) -> None:
-        self.modem.close()
 
 
 RUNTIME_BEHAVIORS: dict[str, Callable] = {
@@ -348,7 +347,8 @@ class Platform:
         caller's thread.  Intake is capped at one buffer's worth per pass
         so the loop stays fair across deployments; output goes on to the
         client for as long as it takes it, and once that makes room for
-        intake held back behind it, the pass goes on with that too.
+        intake held back behind it, or the module takes input again, the
+        pass goes on with that too.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
@@ -370,15 +370,20 @@ class Platform:
                 notified = progress.bytes_out
                 endpoint.notify()
                 self._flush_out(deployment, progress)
-            if not held_back or len(deployment.out_pending) >= self._capacity:
+            if not held_back or not self._takes_in(deployment):
                 return progress
             endpoint.pump_once()  # the endpoint's intake can move again
 
+    def _takes_in(self, deployment: Deployment) -> bool:
+        return (len(deployment.out_pending) < self._capacity
+                and deployment.runtime.accepts_input())
+
     def _take_in(self, deployment: Deployment, progress: PumpProgress) -> bool:
         """Run the application's bytes through hardware and module into
-        ``out_pending``; True if output backlog held intake back."""
+        ``out_pending``; True if intake was held back, by output backlog
+        or by a module that takes no input for now."""
         self._flush_out(deployment, progress)
-        held_back = len(deployment.out_pending) >= self._capacity
+        held_back = not self._takes_in(deployment)
         events: list = []
         if not held_back:
             data = deployment.platform_handle.read(self._capacity)
@@ -389,10 +394,12 @@ class Platform:
                 _, ham = self._hams[deployment.ham_id]
                 to_app, events = deployment.runtime.handle_rx(ham.process(data))
                 deployment.out_pending += to_app
-        to_app, evs = deployment.runtime.poll()
-        deployment.out_pending += to_app
+        if len(deployment.out_pending) < self._capacity:  # else the module waits too
+            to_app, evs = deployment.runtime.poll()
+            deployment.out_pending += to_app
+            events += evs
         self._flush_out(deployment, progress)
-        for event in events + evs:
+        for event in events:
             if event.get("kind") == "CommandParsed":
                 detail = {k: v for k, v in event.items() if k != "kind"}
                 self.trace.emit(TraceKind.COMMAND_PARSED,
@@ -424,13 +431,26 @@ class Platform:
             progressed = progressed or bool(p.bytes_in or p.bytes_out)
         return progressed
 
-    def watch_fds(self) -> dict[str, int]:
-        """deployment_id -> the fd whose readiness calls for a pump pass."""
+    def watch_fds(self) -> dict[int, tuple[str, int, object]]:
+        """fd -> (deployment_id, epoll events, holder) for each fd whose
+        readiness calls for a pump pass of that deployment.
+
+        A deployment may have two: its PTY master and its TCP carrier.
+        The holder is the object that owns the fd; once it closes, a new
+        holder may get the same number, which a caller keeping epoll
+        registrations must register afresh.
+        """
         watched = {}
         for deployment_id in self._occupant.values():
-            fd = self._deployments[deployment_id].endpoint.watch_fd()
+            deployment = self._deployments[deployment_id]
+            endpoint = deployment.endpoint
+            fd = endpoint.watch_fd()
             if fd is not None:
-                watched[deployment_id] = fd
+                watched[fd] = (deployment_id, select.EPOLLIN, endpoint)
+            carrier = deployment.runtime.watch(len(deployment.out_pending) < self._capacity)
+            if carrier is not None:
+                holder, events = carrier
+                watched[holder.fileno()] = (deployment_id, events, holder)
         return watched
 
     def pump_timeout(self) -> float | None:
@@ -438,8 +458,8 @@ class Platform:
 
         None means none is due: the platform waits on I/O alone.  A
         timeout comes from an endpoint looking for a client, the modem's
-        escape guard time or TCP carrier, or output held back by a full
-        channel.  The polls count from now, so a caller that pumps only
+        escape guard time or connect timeout, or output held back by a
+        full channel.  The polls count from now, so a caller that pumps only
         the deployments whose fd fired keeps the earliest deadline until
         it has called :meth:`pump_all`.
         """
@@ -513,9 +533,6 @@ class Platform:
             "deployments": deployments,
             "queue_depth": sum(len(q) for q in self._queues.values()),
         }
-
-    def trace_subscribe(self, from_seq: int | None = None):
-        return self.trace.subscribe(from_seq)
 
     def shutdown(self) -> None:
         """Undeploy everything that is still active."""

@@ -1,19 +1,21 @@
 """Platform daemon: the single event loop plus the control socket server.
 
-All platform work runs on one loop thread: the control requests, and
-the pump passes that move every deployment's bytes between its PTY and
-its module.  The thread blocks in one epoll on a wake eventfd, the PTY
-master of every attached endpoint, the control listener and every
-control connection, with a timeout only while a pass is due that no fd
-announces (see :meth:`proteus.core.Platform.pump_timeout`).  Each
-wake-up serves the control connections that are ready, then pumps only
-the deployments whose master fired; once that deadline has passed, or
-after :meth:`PlatformLoop.kick`, it pumps every active deployment once,
-so a busy neighbour cannot hold back a pass that is due.  A control
-request reaches the platform through :meth:`PlatformLoop.call`, which
-runs in place on the loop thread; other threads (tests, embedders)
-still hand their calls to the loop.  Only trace followers have a thread
-each: they stream from the (thread-safe) trace log.
+All platform work runs on one loop thread: the control requests, the
+trace streams, and the pump passes that move every deployment's bytes
+between its PTY, its module and its TCP carrier.  The daemon has no
+other thread, whatever it serves.  The loop blocks in one epoll on a
+wake eventfd, the PTY master of every attached endpoint, the socket of
+every TCP carrier, the control listener and every control connection,
+with a timeout only while a pass is due that no fd announces (see
+:meth:`proteus.core.Platform.pump_timeout`).  Each wake-up serves the
+control connections that are ready, then pumps only the deployments
+whose fd fired; once that deadline has passed, or after
+:meth:`PlatformLoop.kick`, it pumps every active deployment once, so a
+busy neighbour cannot hold back a pass that is due.  Last, it tops up
+each trace follower's output from the trace log.  A control request
+reaches the platform through :meth:`PlatformLoop.call`, which runs in
+place on the loop thread; other threads (tests, embedders) still hand
+their calls to the loop.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ class PlatformLoop:
         self._wake_lock = threading.Lock()  # no write once stop closed it
         self._epoll = select.epoll()
         self._epoll.register(self._wake, select.EPOLLIN)
-        self._watched: dict[str, int] = {}  # deployment_id -> registered PTY master
+        self._watched: dict[int, tuple] = {}  # as Platform.watch_fds gave it
         # registered fd -> the deployment it pumps, or the handler it calls;
         # a closed fd whose number was reused belongs to its new owner
         self._owner: dict[int, object] = {}
+        self.after_wake = lambda: None  # runs on the loop thread after each wake-up's pumps
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
@@ -138,13 +141,13 @@ class PlatformLoop:
             elif deadline is None or now + timeout < deadline:
                 deadline = now + timeout
             events = self._epoll.poll(-1 if deadline is None else max(0.0, deadline - now))
-            fired = []
+            fired = {}  # the deployments to pump, once each, in order
             for fd, _ in events:
                 owner = self._owner.get(fd)
                 if fd == self._wake:
                     os.eventfd_read(self._wake)
                 elif isinstance(owner, str):
-                    fired.append(owner)
+                    fired[owner] = None
                 elif owner is not None:  # None: unregistered by a handler above
                     owner()
             due = self._kicked or (deadline is not None
@@ -167,24 +170,31 @@ class PlatformLoop:
                         platform.pump(deployment_id)
                     except DeploymentNotActiveError:
                         pass  # a call above undeployed it
+            self.after_wake()
             self._watch()
 
     def _watch(self) -> None:
-        """Make epoll watch exactly the PTY masters the platform wants watched."""
+        """Make epoll watch exactly the fds the platform wants watched."""
         wanted = self.platform.watch_fds()
         if wanted == self._watched:
             return
-        for deployment_id, fd in self._watched.items() - wanted.items():
+        for fd, (deployment_id, _, holder) in self._watched.items():
+            if fd in wanted and wanted[fd][2] is holder:
+                continue  # still watched; its events may change below
             if self._owner.get(fd) != deployment_id:
-                continue  # closed with its endpoint, and the number reused since
+                continue  # closed with its holder, and the number reused since
             del self._owner[fd]
             try:
                 self._epoll.unregister(fd)
             except OSError:
-                pass  # closed with its endpoint, which also unregistered it
-        for deployment_id, fd in wanted.items() - self._watched.items():
-            self._epoll.register(fd, select.EPOLLIN)
-            self._owner[fd] = deployment_id
+                pass  # closed with its holder, which also unregistered it
+        for fd, (deployment_id, events, holder) in wanted.items():
+            old = self._watched.get(fd)
+            if old is None or old[2] is not holder:
+                self._epoll.register(fd, events)
+                self._owner[fd] = deployment_id
+            elif old[1] != events:
+                self._epoll.modify(fd, events)
         self._watched = wanted
 
     def stop(self) -> None:
@@ -219,7 +229,7 @@ def _error_reply(exc: ProteusError) -> bytes:
 class _Connection:
     """A control client: the bytes it sent and the answer it is still owed."""
 
-    __slots__ = ("sock", "fd", "inbox", "outbox", "writing")
+    __slots__ = ("sock", "fd", "inbox", "outbox", "writing", "cursor")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -227,6 +237,7 @@ class _Connection:
         self.inbox = bytearray()
         self.outbox = bytearray()
         self.writing = False  # watching for room to send, not for requests
+        self.cursor: int | None = None  # a follower's next trace seq
 
 
 class ControlServer:
@@ -235,7 +246,10 @@ class ControlServer:
     Each connection reads requests up to ``\\n`` and gets each answer
     sent at once.  While part of an answer is unsent the connection
     waits for room and reads no further request, so a client that stops
-    reading holds one answer and never stalls the loop.
+    reading holds one answer and never stalls the loop.  A ``trace``
+    request with ``follow`` turns its connection into a follower: after
+    each wake-up the loop tops up its output from the trace, up to
+    ``RECV_SIZE`` bytes, and it reads no further request.
     """
 
     def __init__(self, loop: PlatformLoop, socket_path: Path | str | None = None):
@@ -247,8 +261,7 @@ class ControlServer:
         self._listener.listen(8)
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
-        self._followers: list[threading.Thread] = []  # one per trace --follow
-        self._stop = threading.Event()  # ends the trace followers
+        loop.after_wake = self._feed_followers
 
     def _claim_socket(self) -> None:
         if not self.socket_path.exists():
@@ -279,8 +292,7 @@ class ControlServer:
                 logger.warning("control accept failed: %s", exc)
                 return
             sock.setblocking(False)
-            self._followers = [t for t in self._followers if t.is_alive()]
-            if len(self._connections) + len(self._followers) >= MAX_CLIENTS:
+            if len(self._connections) >= MAX_CLIENTS:
                 with sock:
                     try:
                         sock.send(_error_reply(TooManyClientsError(
@@ -308,12 +320,13 @@ class ControlServer:
                     self._handle_line(conn, bytes(conn.inbox))
                 self._close(conn)
                 return
-            conn.inbox += data
+            if conn.cursor is None:  # a follower's further lines are ignored
+                conn.inbox += data
         self._answer(conn)
 
     def _answer(self, conn: _Connection) -> None:
         """Answer each complete request line until an answer is left unsent."""
-        while not conn.outbox and conn in self._connections:
+        while not conn.outbox and conn.cursor is None and conn in self._connections:
             end = conn.inbox.find(b"\n", 0, MAX_LINE + 1)
             if end < 0:
                 if len(conn.inbox) > MAX_LINE:
@@ -344,25 +357,20 @@ class ControlServer:
             conn.writing = writing
             self.loop.modify(conn.fd, select.EPOLLOUT if writing else select.EPOLLIN)
 
-    def _release(self, conn: _Connection) -> bool:
-        """Stop serving ``conn`` on the loop; False if that happened already."""
-        if conn not in self._connections:
-            return False
-        self._connections.remove(conn)
-        self.loop.unregister(conn.fd)
-        return True
-
     def _close(self, conn: _Connection) -> None:
-        if self._release(conn):
+        if conn in self._connections:
+            self._connections.remove(conn)
+            self.loop.unregister(conn.fd)
             conn.sock.close()
 
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
         try:
             request = parse_request(line)
-            if request.op == "trace" and request.args.get("follow"):
-                self._follow_trace(conn, request.args)
-                return
-            reply = encode_response(True, self._dispatch(request.op, request.args))
+            if request.op == "trace" and request.args["follow"]:
+                conn.cursor = request.args["from_seq"]
+                reply = encode_response(True, {"streaming": True})
+            else:
+                reply = encode_response(True, self._dispatch(request.op, request.args))
         except ProteusError as exc:
             reply = _error_reply(exc)
         except Exception as exc:
@@ -381,7 +389,7 @@ class ControlServer:
             module_id = self.loop.call(lambda: platform.load_module_file(args["path"]))
             return {"module_id": module_id}
         if op == "deploy":
-            policy = Policy.QUEUE if args.get("policy") == "queue" else Policy.REJECT
+            policy = Policy(args["policy"])
             def run():
                 deployment_id = platform.deploy(args["module_id"], args["ham_id"], policy)
                 return deployment_id, platform.deployment_info(deployment_id)
@@ -391,39 +399,25 @@ class ControlServer:
             self.loop.call(lambda: platform.undeploy(args["deployment_id"]))
             return {"deployment_id": args["deployment_id"]}
         if op == "trace":
-            from_seq = int(args.get("from_seq") or 0)
-            return {"events": [e.to_dict() for e in platform.trace.events(from_seq)]}
+            return {"events": [e.to_dict() for e in platform.trace.events(args["from_seq"])]}
         raise ProtocolError(f"unhandled op {op!r}")
 
-    def _follow_trace(self, conn: _Connection, args: dict) -> None:
-        """Hand ``conn`` to a thread that streams trace events to it."""
-        subscription = self.loop.platform.trace.subscribe(int(args.get("from_seq") or 0))
-        self._release(conn)
-        conn.sock.setblocking(True)
-        follower = threading.Thread(target=self._stream_trace,
-                                    args=(conn.sock, subscription),
-                                    name="trace-follower", daemon=True)
-        follower.start()
-        self._followers.append(follower)
-
-    def _stream_trace(self, sock: socket.socket, subscription) -> None:
-        with sock:
-            try:
-                sock.sendall(encode_response(True, {"streaming": True}))
-                while not self._stop.is_set():
-                    event = subscription.next(timeout=0.2)
-                    if event is not None:
-                        sock.sendall(json.dumps({"event": event.to_dict()}).encode() + b"\n")
-            except OSError:
-                return  # the follower went away
+    def _feed_followers(self) -> None:
+        """Queue the trace events each follower has not had, until its
+        outbox holds ``RECV_SIZE`` bytes, and send them."""
+        trace = self.loop.platform.trace
+        for conn in [c for c in self._connections if c.cursor is not None]:
+            while len(conn.outbox) < RECV_SIZE and conn.cursor < trace.next_seq:
+                event = trace.event(conn.cursor)
+                conn.outbox += json.dumps({"event": event.to_dict()}).encode() + b"\n"
+                conn.cursor += 1
+            if conn.outbox and not conn.writing:
+                self._flush(conn)
 
     def stop(self) -> None:
-        """Close the listener and every connection; trace followers end too."""
-        self._stop.set()
+        """Close the listener and every connection, trace followers too."""
         if self._listener.fileno() >= 0:
             self.loop.call(self._close_all)
-        for follower in self._followers:
-            follower.join(timeout=1.0)  # each wakes within 0.2 s
         try:
             self.socket_path.unlink()
         except OSError:

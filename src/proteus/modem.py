@@ -7,15 +7,25 @@ by default, or a TCP bridge picked by the dial plan) and the classic
 ``+++`` escape, guarded by one second of silence on both sides, drops
 back to command mode.  The clock is injectable so guard timing is
 deterministic under test.
+
+The modem has no thread: a TCP carrier's socket is non-blocking, and
+whoever pumps the modem moves its bytes in :meth:`Modem.carrier_pump`.
+:meth:`Modem.watch` names the socket and the epoll events to wait for,
+and :meth:`Modem.pump_timeout` the deadline no fd announces.  A TCP dial
+is answered once the connect is decided; until then, and while
+``CARRIER_CHUNK`` bytes wait for the peer, :meth:`Modem.accepts_input`
+is False and input waits upstream.  Name lookup of a host that is not
+numeric still blocks.
 """
 
 from __future__ import annotations
 
 import enum
-import queue
+import errno
+import os
 import re
+import select
 import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -31,6 +41,9 @@ NO_CARRIER = "NO CARRIER"
 CR = 0x0D
 LINE_BUFFER_LIMIT = 256
 GUARD_SECONDS = 1.0
+# bytes a TCP carrier reads per pass, and holds for a peer that does not
+# take them before the modem takes no more input
+CARRIER_CHUNK = 4096
 
 
 def frame_result(code: str) -> bytes:
@@ -227,12 +240,13 @@ def load_dial_plan(path: str) -> DialPlan:
 class LoopbackCarrier:
     """Reflects every byte sent straight back to the receive side."""
 
-    kind = "loopback"
-    poll_interval = None  # sent bytes come back within the same pump pass
+    backlog = b""  # the far end takes every byte at once
 
     def __init__(self):
         self._pending = deque()
-        self.connected = True
+
+    def connect_outcome(self) -> bool:
+        return True
 
     def send(self, data: bytes) -> None:
         if data:
@@ -247,82 +261,62 @@ class LoopbackCarrier:
         return out, False
 
     def close(self) -> None:
-        self.connected = False
         self._pending.clear()
 
 
 class TcpCarrier:
     """Bridges the data-mode byte stream to a TCP connection.
 
-    The socket is serviced by its own transfer threads; the modem (which
-    lives on the platform loop) exchanges data with them only through
-    queues, which no fd announces, so the loop looks at them every
-    ``poll_interval`` seconds.
+    The socket is non-blocking and connects in the background;
+    :meth:`connect_outcome` tells once that is decided.  Bytes the peer
+    does not take yet wait in ``backlog``.
     """
 
-    kind = "tcp"
-    poll_interval = 0.01
-    _EOF = None
+    def __init__(self, host: str, port: int):
+        family, kind, proto, _, address = socket.getaddrinfo(
+            host, port, type=socket.SOCK_STREAM)[0]
+        self._sock = socket.socket(family, kind, proto)
+        self._sock.setblocking(False)
+        err = self._sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS):
+            self._sock.close()
+            raise OSError(err, os.strerror(err))
+        self._poller = select.poll()
+        self._poller.register(self._sock, select.POLLOUT)
+        self.backlog = bytearray()
 
-    def __init__(self, host: str, port: int, connect_timeout: float = 2.0):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self.connected = True
-        self._rx: queue.Queue = queue.Queue(maxsize=64)
-        self._tx: queue.Queue = queue.Queue(maxsize=64)
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._reader.start()
-        self._writer.start()
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
-    def _read_loop(self):
-        try:
-            while True:
-                chunk = self._sock.recv(4096)
-                if not chunk:
-                    break
-                self._rx.put(chunk)
-        except OSError:
-            pass
-        self._rx.put(self._EOF)
-
-    def _write_loop(self):
-        try:
-            while True:
-                chunk = self._tx.get()
-                if chunk is self._EOF:
-                    break
-                self._sock.sendall(chunk)
-        except OSError:
-            pass
+    def connect_outcome(self) -> bool | None:
+        """None while the connect is pending, else whether it succeeded."""
+        if not self._poller.poll(0):
+            return None
+        return self._sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
 
     def send(self, data: bytes) -> None:
-        if data and self.connected:
-            self._tx.put(data)
+        """Queue ``data``; :meth:`recv` sends it."""
+        self.backlog += data
 
     def recv(self) -> tuple[bytes, bool]:
-        chunks = []
-        closed = False
-        while True:
+        """Send what the peer now takes of the backlog, then return
+        (up to ``CARRIER_CHUNK`` received bytes, remote_closed)."""
+        if self.backlog:
             try:
-                chunk = self._rx.get_nowait()
-            except queue.Empty:
-                break
-            if chunk is self._EOF:
-                closed = True
-                break
-            chunks.append(chunk)
-        return b"".join(chunks), closed
+                del self.backlog[:self._sock.send(self.backlog)]
+            except BlockingIOError:
+                pass
+            except OSError:
+                self.backlog.clear()  # the peer is gone, as recv reports
+        try:
+            data = self._sock.recv(CARRIER_CHUNK)
+        except BlockingIOError:
+            return b"", False
+        except OSError:
+            return b"", True  # reset by the peer
+        return data, not data
 
     def close(self) -> None:
-        if not self.connected:
-            return
-        self.connected = False
-        self._tx.put(self._EOF)
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         self._sock.close()
 
 
@@ -364,6 +358,11 @@ class Modem:
         self.mode = Mode.COMMAND
         self.echo = True
         self.carrier: Carrier | None = None
+        # a TCP dial awaiting its outcome: the dial line's event, the
+        # deadline, and the input that came after the line
+        self._dial_event: dict | None = None
+        self._dial_deadline = 0.0
+        self._held = b""
         self._line = bytearray()
         self._line_overflow = False
         # escape-sequence progress: withheld '+' count and timing
@@ -373,8 +372,11 @@ class Modem:
 
     # -- command execution ---------------------------------------------------
 
-    def execute(self, cmd: AtCommand) -> str:
-        """Apply a single parsed command, returning its result code."""
+    def execute(self, cmd: AtCommand) -> str | None:
+        """Apply a single parsed command, returning its result code.
+
+        None means a dial whose result code comes with its outcome.
+        """
         if isinstance(cmd, Dial):
             return self._dial(cmd.target)
         if isinstance(cmd, Hangup):
@@ -392,28 +394,26 @@ class Modem:
             return OK
         return ERROR
 
-    def _dial(self, dialstring: str) -> str:
+    def _dial(self, dialstring: str) -> str | None:
         if not dialstring:
             return ERROR
+        self._drop_carrier()  # a call held since +++ ends here
         target = self.dial_plan.resolve(dialstring)
         if isinstance(target, NoCarrierTarget):
             return NO_CARRIER
-        if isinstance(target, LoopbackTarget):
-            self.carrier = LoopbackCarrier()
-        else:
-            try:
-                self.carrier = TcpCarrier(target.host, target.port, self.connect_timeout)
-            except OSError:
-                return NO_CARRIER
-        self.mode = Mode.DATA
-        self._plus_count = 0
-        self._last_activity = self.clock()
-        return CONNECT
+        try:
+            self.carrier = (LoopbackCarrier() if isinstance(target, LoopbackTarget)
+                            else TcpCarrier(target.host, target.port))
+        except OSError:
+            return NO_CARRIER
+        self._dial_deadline = self.clock() + self.connect_timeout
+        return None
 
     def _drop_carrier(self) -> None:
         if self.carrier is not None:
             self.carrier.close()
             self.carrier = None
+        self._dial_event = None
         self.mode = Mode.COMMAND
 
     # -- byte-stream interface ----------------------------------------------
@@ -424,17 +424,22 @@ class Modem:
         Command mode accumulates a line until CR (echoing when enabled)
         and appends framed result codes to ``to_app``.  Data mode
         forwards to the carrier, withholding a possible ``+++`` escape
-        until its trailing guard silence is decided.
+        until its trailing guard silence is decided.  Input after a TCP
+        dial line waits for the dial's outcome.
         """
         result = FeedResult()
-        if not data:
-            return result
-        self._check_escape(result)
-        if self.mode is Mode.DATA:
+        if data:
+            self._check_escape(result)
+            self._consume(data, result)
+        return result
+
+    def _consume(self, data: bytes, result: FeedResult) -> None:
+        if self._dial_event is not None:
+            self._held += data
+        elif self.mode is Mode.DATA:
             self._feed_data(data, result)
         else:
             self._feed_command(data, result)
-        return result
 
     def _check_escape(self, result: FeedResult) -> None:
         # three withheld '+' followed by guard silence complete the escape
@@ -451,7 +456,7 @@ class Modem:
             })
 
     def _feed_command(self, data: bytes, result: FeedResult) -> None:
-        for byte in data:
+        for i, byte in enumerate(data):
             if self.echo:
                 result.to_app += bytes([byte])
             if byte == CR:
@@ -461,6 +466,9 @@ class Modem:
                 self._line_overflow = False
                 if not overflowed:
                     self._run_line(line, result)
+                    if self.mode is Mode.DATA or self._dial_event is not None:
+                        self._consume(data[i + 1:], result)  # no longer commands
+                        return
             elif self._line_overflow:
                 pass  # discarding until CR
             else:
@@ -496,13 +504,18 @@ class Modem:
             code = self.execute(cmd)
             if code == ERROR:
                 break
-        result.to_app += frame_result(code)
-        result.events.append({
+        event = {
             "kind": "CommandParsed",
             "line": stripped,
             "commands": [type(c).__name__ for c in commands],
             "result": code,
-        })
+        }
+        if code is None:
+            self._dial_event = event  # answered with the dial's outcome
+            self._answer_dial(result)  # a loopback or local one is known at once
+            return
+        result.to_app += frame_result(code)
+        result.events.append(event)
 
     def _feed_data(self, data: bytes, result: FeedResult) -> None:
         now = self.clock()
@@ -535,13 +548,17 @@ class Modem:
     def carrier_pump(self) -> FeedResult:
         """Deliver carrier traffic and time-driven transitions.
 
-        Call periodically: completes the ``+++`` escape once the guard
-        silence has elapsed, moves carrier-received bytes toward the
-        application in data mode, and reports a lost remote as
-        NO CARRIER.
+        Call when the fd :meth:`watch` names is ready, or when
+        :meth:`pump_timeout` runs out: answers a pending dial once its
+        connect succeeds, fails or times out, completes the ``+++``
+        escape once the guard silence has elapsed, sends what the peer
+        takes, moves received bytes toward the application in data mode,
+        and reports a lost remote as NO CARRIER.
         """
         result = FeedResult()
         self._check_escape(result)
+        if self._dial_event is not None:
+            self._answer_dial(result)
         if self.carrier is None or self.mode is not Mode.DATA:
             # while escaped to command mode, carrier traffic stays queued
             return result
@@ -553,19 +570,62 @@ class Modem:
             result.to_app += frame_result(NO_CARRIER)
         return result
 
-    def pump_timeout(self) -> float | None:
-        """Seconds until :meth:`carrier_pump` has work no input brings.
+    def _answer_dial(self, result: FeedResult) -> None:
+        connected = self.carrier.connect_outcome()
+        if connected is None and self.clock() < self._dial_deadline:
+            return
+        event, self._dial_event = self._dial_event, None
+        if connected:
+            self.mode = Mode.DATA
+            self._plus_count = 0
+            self._last_activity = self.clock()
+        else:
+            self._drop_carrier()
+        event["result"] = CONNECT if connected else NO_CARRIER
+        result.to_app += frame_result(event["result"])
+        result.events.append(event)
+        held, self._held = self._held, b""
+        if held:
+            self._consume(held, result)
 
-        That is the end of the guard silence after a withheld ``+++``,
-        or the carrier's next look for received bytes; None when
-        neither is pending.
+    def accepts_input(self) -> bool:
+        """False while a dial awaits its outcome, or while the peer has
+        not taken ``CARRIER_CHUNK`` bytes sent to it."""
+        return self._dial_event is None and not (
+            self.mode is Mode.DATA and len(self.carrier.backlog) >= CARRIER_CHUNK)
+
+    def watch(self, room: bool) -> tuple[TcpCarrier, int] | None:
+        """The TCP carrier and the ``select.EPOLL*`` events on its fd that
+        call for :meth:`carrier_pump`; None when there are none.
+
+        That is the outcome of a pending connect, room for the backlog,
+        and, in data mode while ``room`` says the output can take more,
+        received bytes.
         """
-        if self.carrier is None or self.mode is not Mode.DATA:
+        carrier = self.carrier
+        if not isinstance(carrier, TcpCarrier):
             return None
-        timeouts = [self.carrier.poll_interval]
-        if self._plus_count == 3:
-            timeouts.append(max(0.0, self._plus_time + self.guard_seconds - self.clock()))
-        return min((t for t in timeouts if t is not None), default=None)
+        online = self.mode is Mode.DATA
+        events = select.EPOLLIN if online and room else 0
+        if self._dial_event is not None or online and carrier.backlog:
+            events |= select.EPOLLOUT
+        return (carrier, events) if events else None
+
+    def pump_timeout(self) -> float | None:
+        """Seconds until :meth:`carrier_pump` has work that neither input
+        nor the carrier's fd brings.
+
+        That is the connect timeout of a pending dial, or the end of the
+        guard silence after a withheld ``+++``; None when neither is
+        pending.
+        """
+        if self._dial_event is not None:
+            deadline = self._dial_deadline
+        elif self.mode is Mode.DATA and self._plus_count == 3:
+            deadline = self._plus_time + self.guard_seconds
+        else:
+            return None
+        return max(0.0, deadline - self.clock())
 
     def close(self) -> None:
         """Shut down any carrier (used when the deployment stops)."""

@@ -2,13 +2,19 @@
 
 Every interesting platform action (registration, deployment, data
 movement, parsed commands) is appended to one totally ordered event log
-that any number of subscribers can follow from any starting point.
+that any number of readers can follow from any seq with ``events(since)``.
+
+Nothing here takes a lock.  Events are emitted on one thread: the
+platform loop when daemonized, which also streams them to ``trace
+--follow`` clients, or the embedding program's own thread.  A reader on
+another thread still sees a prefix of the log, because CPython's
+interpreter lock runs each list append and slice whole; a build without
+it would need the log published under a lock.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -46,61 +52,25 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Append-only event log with strictly increasing sequence numbers.
-
-    Emission happens on the platform loop; subscriptions may be consumed
-    from any thread.
-    """
+    """Append-only event log with strictly increasing sequence numbers."""
 
     def __init__(self):
         self._events: list[TraceEvent] = []
-        self._cond = threading.Condition()
 
     def emit(self, kind: TraceKind, **detail) -> TraceEvent:
-        with self._cond:
-            event = TraceEvent(len(self._events), time.time(), kind, detail)
-            self._events.append(event)
-            self._cond.notify_all()
+        event = TraceEvent(len(self._events), time.time(), kind, detail)
+        self._events.append(event)
         return event
 
     def events(self, since: int = 0) -> list[TraceEvent]:
         """Snapshot of all events with seq >= ``since``."""
-        with self._cond:
-            return self._events[since:]
+        return self._events[since:]
+
+    def event(self, seq: int) -> TraceEvent:
+        """The event numbered ``seq``."""
+        return self._events[seq]
 
     @property
     def next_seq(self) -> int:
-        with self._cond:
-            return len(self._events)
-
-    def subscribe(self, from_seq: int | None = None) -> "TraceSubscription":
-        """Follow the log from ``from_seq`` (default: the present)."""
-        with self._cond:
-            cursor = len(self._events) if from_seq is None else from_seq
-        return TraceSubscription(self, cursor)
-
-
-class TraceSubscription:
-    """Cursor over the trace log; delivers events in seq order, no gaps."""
-
-    def __init__(self, log: TraceLog, cursor: int):
-        self._log = log
-        self.cursor = cursor
-
-    def next(self, timeout: float | None = None) -> TraceEvent | None:
-        """Block up to ``timeout`` for the next event; None on timeout."""
-        with self._log._cond:
-            if self.cursor >= len(self._log._events):
-                self._log._cond.wait(timeout)
-            if self.cursor >= len(self._log._events):
-                return None
-            event = self._log._events[self.cursor]
-            self.cursor += 1
-            return event
-
-    def drain(self) -> list[TraceEvent]:
-        """All events available right now, without blocking."""
-        with self._log._cond:
-            events = self._log._events[self.cursor:]
-            self.cursor = len(self._log._events)
-        return list(events)
+        """The seq the next event gets: a cursor at the present."""
+        return len(self._events)

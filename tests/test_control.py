@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import os
@@ -51,13 +52,15 @@ def test_parse_fills_optional_defaults():
 def test_round_trip_over_generated_requests():
     rng = random.Random(77)
     values = ["m0", "sim0", "x-1", "", "42"]
+    optional_values = {"policy": ["reject", "queue"], "follow": [True, False],
+                       "from_seq": [0, 3, 10**12]}
     for _ in range(300):
         op = rng.choice(list(REQUEST_SCHEMA))
         required, optional = REQUEST_SCHEMA[op]
         args = {name: rng.choice(values) for name in required}
         for name, default in optional.items():
             if rng.random() < 0.5:
-                args[name] = rng.choice([True, False, 3, "queue"])
+                args[name] = rng.choice(optional_values[name])
         parsed = parse_request(encode_request(ControlRequest(op, args)))
         assert parsed.op == op
         for name, value in args.items():
@@ -182,6 +185,31 @@ def test_malformed_wire_data_gets_error_response(daemon):
     raw.close()
 
 
+@pytest.mark.parametrize("request_doc", [
+    {"op": "load", "path": 7},
+    {"op": "deploy", "module_id": 1, "ham_id": "sim0"},
+    {"op": "deploy", "module_id": "modem", "ham_id": None},
+    {"op": "deploy", "module_id": "modem", "ham_id": "sim0", "policy": "qeueu"},
+    {"op": "undeploy", "deployment_id": ["d0"]},
+    {"op": "trace", "follow": "yes"},
+    {"op": "trace", "follow": 1},
+    {"op": "trace", "from_seq": -1},
+    {"op": "trace", "follow": True, "from_seq": -1},
+    {"op": "trace", "from_seq": "abc"},
+    {"op": "trace", "from_seq": True},
+    {"op": "trace", "from_seq": 1.5},
+])
+def test_mistyped_arguments_get_protocol_error(daemon, tmp_path, request_doc):
+    with connect_raw(daemon) as raw, raw.makefile("rb") as replies:
+        raw.sendall(json.dumps({"op": "load", "path": str(tmp_path / "modem.yaml")}).encode()
+                    + b"\n" + json.dumps(request_doc).encode() + b"\n")
+        assert json.loads(replies.readline())["ok"] is True
+        reply = json.loads(replies.readline())
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == "protocol-error"
+    assert daemon.loop.call(daemon.platform.status)["deployments"] == []
+
+
 def test_trace_request_returns_recorded_events(client, tmp_path):
     client.request("load", path=str(tmp_path / "modem.yaml"))
     events = client.request("trace")["events"]
@@ -211,6 +239,23 @@ def test_trace_follow_streams_live_events(daemon, tmp_path):
     assert seen[:3] == ["HamRegistered", "ModuleLoaded", "DeployRequested"]
     assert "Deployed" in seen
     follower.close()
+
+
+def test_trace_follow_outlasts_the_request_timeout(daemon):
+    follower = ControlClient(daemon.server.socket_path, timeout=0.5)
+    emit = threading.Timer(1.0, daemon.loop.call,
+                           args=(lambda: daemon.platform.load_module(make_manifest()),))
+    try:
+        stream = follower.follow_trace()
+        assert next(stream)["kind"] == "HamRegistered"
+        emit.start()
+        started = time.monotonic()
+        assert next(stream)["kind"] == "ModuleLoaded"  # after 1 s of silence
+        assert time.monotonic() - started >= 0.5
+    finally:
+        emit.join(5)
+        follower.close()
+    assert not emit.is_alive()
 
 
 def test_concurrent_clients_are_serialized_safely(daemon, tmp_path):
@@ -382,6 +427,131 @@ def test_tcp_remote_bytes_and_hangup_reach_a_silent_client(daemon, tmp_path):
                     == b"hello from afar\r\nNO CARRIER\r\n")
         finally:
             os.close(fd)
+
+
+# ---------------------------------------------------------------------------
+# TCP carriers share the loop: a slow or absent peer stalls no neighbour
+
+
+@contextlib.contextmanager
+def bridge_beside_shouter(tmp_path, plan_text):
+    """A daemon with a TCP bridge modem on sim0, dialling by ``plan_text``,
+    and a shouter on sim1, each with a client attached."""
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    plan = tmp_path / "plan.conf"
+    plan.write_text(plan_text)
+    for i in range(2):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+    d.platform.load_module(make_manifest(
+        "bridge", config={"endpoint_name": "bridge0", "dial_plan": str(plan)}))
+    d.platform.load_module(make_manifest(
+        "shouter", "identity", "upper", config={"endpoint_name": "shout1"}))
+    d.start()
+    fds = []
+    try:
+        for module_id, ham_id in (("bridge", "sim0"), ("shouter", "sim1")):
+            dep = d.loop.call(lambda: d.platform.deploy(module_id, ham_id))
+            fds.append(os.open(d.platform.deployment_info(dep)["link"],
+                               os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK))
+        d.loop.call(d.platform.status)  # samples attachment: both masters are watched
+        yield d, fds[0], fds[1]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        d.stop()
+
+
+def assert_neighbour_answers(d, shout_fd):
+    """The shouter echoes within 0.5 s, and so does a status request."""
+    started = time.monotonic()
+    os.write(shout_fd, b"x")
+    assert read_until(shout_fd, b"X", timeout=0.5) == b"X"
+    with ControlClient(d.server.socket_path, timeout=0.5) as c:
+        assert "hams" in c.request("status")["status"]
+    assert time.monotonic() - started < 0.5
+
+
+def test_peer_that_stops_reading_stalls_only_its_own_client(tmp_path):
+    with (socket.create_server(("127.0.0.1", 0)) as server,
+          bridge_beside_shouter(tmp_path, f"42 = tcp:127.0.0.1:{server.getsockname()[1]}")
+          as (d, fd, shout_fd)):
+        os.write(fd, b"ATE0\rATD42\r")
+        assert read_until(fd, b"\r\nCONNECT\r\n").endswith(b"\r\nCONNECT\r\n")
+        remote, _ = server.accept()
+        with remote:
+            rng = random.Random(5)
+            streamed = bytearray()
+            # write until the client's writes stay blocked: the peer reads
+            # nothing, so backpressure reaches the terminal
+            while len(streamed) < 64 << 20:
+                if not select.select([], [fd], [], 0.5)[1]:
+                    break
+                chunk = rng.randbytes(4096)
+                try:
+                    streamed += chunk[:os.write(fd, chunk)]
+                except BlockingIOError:
+                    pass
+            else:
+                pytest.fail("the client's writes never blocked")
+            assert_neighbour_answers(d, shout_fd)
+            received = bytearray()
+            remote.settimeout(5)
+            while len(received) < len(streamed):
+                chunk = remote.recv(1 << 20)
+                assert chunk, "the bridge hung up"
+                received += chunk
+            assert received == streamed
+
+
+def test_black_holed_and_refused_dials_do_not_delay_a_neighbour(tmp_path):
+    refused = socket.socket()
+    refused.bind(("127.0.0.1", 0))
+    refused_port = refused.getsockname()[1]
+    refused.close()  # nothing listens there
+    with socket.socket() as hole, socket.socket() as queued:
+        hole.bind(("127.0.0.1", 0))
+        hole.listen(0)
+        queued.connect(hole.getsockname())  # fills the backlog: the next SYN is dropped
+        plan = (f"1 = tcp:127.0.0.1:{hole.getsockname()[1]}\n"
+                f"2 = tcp:127.0.0.1:{refused_port}\n")
+        with bridge_beside_shouter(tmp_path, plan) as (d, fd, shout_fd):
+            os.write(fd, b"ATE0\r")
+            assert read_until(fd, b"\r\nOK\r\n").endswith(b"\r\nOK\r\n")
+            dialled = time.monotonic()
+            os.write(fd, b"ATD1\r")
+            d.loop.call(lambda: None)  # the connect is under way
+            assert_neighbour_answers(d, shout_fd)
+            os.write(fd, b"AT\r")  # typed while dialling: run after the outcome
+            assert read_until(fd, b"\r\nOK\r\n") == b"\r\nNO CARRIER\r\n\r\nOK\r\n"
+            assert time.monotonic() - dialled >= 2.0  # the modem's connect_timeout
+            started = time.monotonic()
+            os.write(fd, b"ATD2\r")
+            assert read_until(fd, b"\r\nNO CARRIER\r\n") == b"\r\nNO CARRIER\r\n"
+            assert time.monotonic() - started < 0.5
+            assert_neighbour_answers(d, shout_fd)
+
+
+def test_carrier_and_follower_add_no_thread_and_no_timed_wake_up(tmp_path):
+    with (socket.create_server(("127.0.0.1", 0)) as server,
+          bridge_beside_shouter(tmp_path, f"42 = tcp:127.0.0.1:{server.getsockname()[1]}")
+          as (d, fd, _)):
+        threads = threading.active_count()
+        follower = ControlClient(d.server.socket_path)
+        try:
+            stream = follower.follow_trace()
+            os.write(fd, b"ATD42\r")
+            assert read_until(fd, b"\r\nCONNECT\r\n").endswith(b"\r\nCONNECT\r\n")
+            remote, _ = server.accept()
+            with remote:
+                # the dial line is traced once, with its outcome
+                dials = (e["detail"] for e in stream if e["kind"] == "CommandParsed")
+                assert next(dials) == {"deployment_id": "d0", "line": "ATD42",
+                                       "commands": ["Dial"], "result": "CONNECT"}
+                assert threading.active_count() == threads
+                # connected and silent: only the socket wakes the loop for it
+                assert d.loop.call(d.platform.pump_timeout) is None
+        finally:
+            follower.close()
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +745,7 @@ class BusyFdPlatform:
         return 0.02
 
     def watch_fds(self):
-        return {"d0": self.fd}
+        return {self.fd: ("d0", select.EPOLLIN, self)}
 
     def pump(self, deployment_id):
         self.passes.append(deployment_id)
@@ -634,7 +804,8 @@ def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
         client = os.open(d.platform.deployment_info(dep)["link"],
                          os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
         d.loop.call(d.platform.status)  # samples attachment: the master is watched
-        master = d.loop.call(d.platform.watch_fds)[dep]
+        master, = (fd for fd, (owner, _, _) in d.loop.call(d.platform.watch_fds).items()
+                   if owner == dep)
         fired = threading.Event()
 
         def undeploy_then_reuse_the_master_fd():
@@ -654,6 +825,67 @@ def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
         if client is not None:
             os.close(client)
         d.stop()
+
+
+class SocketPlatform:
+    """Platform stand-in whose deployment d0 is pumped when its socket
+    has bytes to read."""
+
+    def __init__(self):
+        self.sock = None
+        self.passes = []
+
+    def pump_timeout(self):
+        return None
+
+    def watch_fds(self):
+        if self.sock is None:
+            return {}
+        return {self.sock.fileno(): ("d0", select.EPOLLIN, self.sock)}
+
+    def pump(self, deployment_id):
+        self.passes.append(deployment_id)
+        self.sock.recv(64)
+
+    def shutdown(self):
+        pass
+
+
+def test_new_holder_of_a_closed_fd_number_is_watched():
+    # a carrier can close and a new one get the same number in one wake-up
+    platform = SocketPlatform()
+    loop = PlatformLoop(platform)
+    loop.start()
+    pairs = []
+
+    def connect():
+        pairs.append(socket.socketpair())
+        platform.sock = pairs[-1][0]
+        return platform.sock.fileno()
+
+    try:
+        first = loop.call(connect)
+        pairs[0][1].send(b"x")
+        deadline = time.monotonic() + 5
+        while not platform.passes and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert platform.passes == ["d0"]
+
+        def reconnect():
+            platform.sock.close()  # which also drops it from epoll
+            return connect()
+
+        assert loop.call(reconnect) == first
+        pairs[1][1].send(b"y")
+        deadline = time.monotonic() + 1
+        while len(platform.passes) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert platform.passes == ["d0", "d0"]
+    finally:
+        loop.stop()
+        for pair in pairs:
+            for sock in pair:
+                sock.close()
 
 
 # ---------------------------------------------------------------------------

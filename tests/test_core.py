@@ -635,19 +635,19 @@ def test_trace_lifecycle_subsequence(platform, endpoint_factory, sim_ham, modem_
 def test_trace_subscription_sees_only_new_events(platform, sim_ham, modem_manifest):
     platform.register_ham(sim_ham)
     platform.load_module(modem_manifest)
-    sub = platform.trace_subscribe()
+    cursor = platform.trace.next_seq
     dep = platform.deploy("modem", "sim0")
-    got = sub.drain()
+    got = platform.trace.events(cursor)
     assert got[0].kind.value == "DeployRequested"
     assert all(e.kind.value != "HamRegistered" for e in got)
+    cursor += len(got)
     platform.undeploy(dep)
-    assert any(e.kind.value == "Undeployed" for e in sub.drain())
+    assert any(e.kind.value == "Undeployed" for e in platform.trace.events(cursor))
 
 
 def test_trace_subscription_from_beginning(platform, sim_ham):
     platform.register_ham(sim_ham)
-    sub = platform.trace_subscribe(from_seq=0)
-    assert [e.kind.value for e in sub.drain()] == ["HamRegistered"]
+    assert [e.kind.value for e in platform.trace.events(0)] == ["HamRegistered"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from proteus.errors import MalformedDialPlanError, NotAtPrefixedError
 from proteus.modem import (
     CONNECT,
     ERROR,
+    GUARD_SECONDS,
     LINE_BUFFER_LIMIT,
     NO_CARRIER,
     OK,
@@ -256,6 +257,19 @@ def test_loopback_reflects_data_back():
     assert echoed.to_app == b"hello there"
 
 
+def test_bytes_after_the_dial_line_are_data_not_commands():
+    clock = FakeClock()
+    modem = fresh_modem(clock=clock)
+    out = modem.feed(b"ATE0\rATD5551234\rhello")
+    assert responses(out.to_app) == [OK, CONNECT]
+    assert out.to_carrier == b"hello"
+    assert modem.carrier_pump().to_app == b"hello"
+    clock.advance(1.0)
+    modem.feed(b"+++")
+    clock.advance(1.0)
+    assert responses(modem.feed(b"AT\r").to_app) == [OK, OK]  # no stale command line
+
+
 def test_loopback_roundtrip_conserves_random_bytes():
     clock = FakeClock()
     modem = fresh_modem(clock=clock)
@@ -468,15 +482,16 @@ def echo_server():
     thread.join(timeout=5)
 
 
-def _pump_until(modem, predicate, timeout=5.0):
-    collected = b""
+def _pump_until(modem, predicate, collected=b"", timeout=5.0):
+    """Pump until what the modem gave, from ``collected`` on, satisfies
+    ``predicate``; a dial may be answered at once or by a later pump."""
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        collected += modem.carrier_pump().to_app
-        if predicate(collected):
-            return collected
+    while not predicate(collected):
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"timed out waiting for carrier data, got {collected!r}")
         time.sleep(0.01)
-    raise AssertionError(f"timed out waiting for carrier data, got {collected!r}")
+        collected += modem.carrier_pump().to_app
+    return collected
 
 
 def test_tcp_carrier_bridges_both_directions(echo_server):
@@ -484,10 +499,10 @@ def test_tcp_carrier_bridges_both_directions(echo_server):
     plan = parse_dial_plan(f"42 = tcp:127.0.0.1:{port}")
     modem = Modem(dial_plan=plan)
     modem.feed(b"ATE0\r")
-    out = modem.feed(b"ATD42\r")
-    assert responses(out.to_app) == [CONNECT]
-    # received bytes sit in a queue no fd announces
-    assert modem.pump_timeout() == modem.carrier.poll_interval
+    got = _pump_until(modem, responses, modem.feed(b"ATD42\r").to_app)
+    assert responses(got) == [CONNECT]
+    # connected and idle: only the socket's readiness calls for a pump
+    assert modem.pump_timeout() is None
     modem.feed(b"marco")
     got = _pump_until(modem, lambda buf: b"marco" in buf)
     assert got == b"marco"
@@ -520,9 +535,71 @@ def test_tcp_connect_refused_reports_no_carrier():
     plan = parse_dial_plan(f"42 = tcp:127.0.0.1:{port}")
     modem = Modem(dial_plan=plan, connect_timeout=1.0)
     modem.feed(b"ATE0\r")
-    out = modem.feed(b"ATD42\r")
-    assert responses(out.to_app) == [NO_CARRIER]
+    got = _pump_until(modem, responses, modem.feed(b"ATD42\r").to_app)
+    assert responses(got) == [NO_CARRIER]
     assert modem.mode is Mode.COMMAND
+
+
+def test_input_after_a_tcp_dial_waits_for_its_outcome():
+    clock = FakeClock()
+    with socket.socket() as hole, socket.socket() as queued:
+        hole.bind(("127.0.0.1", 0))
+        hole.listen(0)
+        queued.connect(hole.getsockname())  # fills the backlog: the next SYN is dropped
+        modem = Modem(dial_plan=parse_dial_plan(f"1 = tcp:127.0.0.1:{hole.getsockname()[1]}"),
+                      clock=clock)
+        try:
+            modem.feed(b"ATE0\r")
+            dialled = modem.feed(b"ATD1\rAT\r")
+            assert (dialled.to_app, dialled.events) == (b"", [])
+            assert not modem.accepts_input()
+            clock.advance(modem.connect_timeout - 0.01)
+            assert modem.carrier_pump().to_app == b""
+            assert modem.pump_timeout() == pytest.approx(0.01)
+            clock.advance(0.01)
+            answered = modem.carrier_pump()
+            # the dial line is traced once, with its outcome; then the
+            # command typed meanwhile runs
+            assert responses(answered.to_app) == [NO_CARRIER, OK]
+            assert [(e["line"], e["result"]) for e in answered.events] == [
+                ("ATD1", NO_CARRIER), ("AT", OK)]
+            assert modem.accepts_input()
+            assert modem.carrier is None
+        finally:
+            modem.close()
+
+
+def test_data_after_a_tcp_dial_line_goes_to_the_call(echo_server):
+    port, _ = echo_server
+    modem = Modem(dial_plan=parse_dial_plan(f"42 = tcp:127.0.0.1:{port}"))
+    modem.feed(b"ATE0\r")
+    got = _pump_until(modem, lambda buf: b"marco" in buf, modem.feed(b"ATD42\rmarco").to_app)
+    assert got == frame_result(CONNECT) + b"marco"
+    modem.close()
+
+
+def test_redial_after_escape_hangs_up_the_held_call():
+    clock = FakeClock()
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        modem = Modem(dial_plan=parse_dial_plan(f"42 = tcp:127.0.0.1:{server.getsockname()[1]}"),
+                      clock=clock)
+        try:
+            modem.feed(b"ATE0\r")
+            assert responses(_pump_until(modem, responses, modem.feed(b"ATD42\r").to_app)) == [
+                CONNECT]
+            first, _ = server.accept()
+            with first:
+                clock.advance(GUARD_SECONDS)
+                modem.feed(b"+++")
+                clock.advance(GUARD_SECONDS)
+                assert responses(modem.carrier_pump().to_app) == [OK]  # the call is held
+                redialled = modem.feed(b"ATD42\r").to_app
+                first.settimeout(1.0)
+                assert first.recv(1) == b""  # the held call hung up
+            assert responses(_pump_until(modem, responses, redialled)) == [CONNECT]
+            server.accept()[0].close()
+        finally:
+            modem.close()
 
 
 # ---------------------------------------------------------------------------
