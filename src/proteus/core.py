@@ -348,7 +348,10 @@ class Platform:
         so the loop stays fair across deployments; output goes on to the
         client for as long as it takes it, and once that makes room for
         intake held back behind it, or the module takes input again, the
-        pass goes on with that too.
+        pass goes on with that too.  So does input the endpoint holds for
+        want of channel room once the pass has taken from the channel.
+        The bytes a pass moves are counted in the endpoint's ``status``
+        entry, not traced.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
@@ -362,15 +365,19 @@ class Platform:
         endpoint = deployment.endpoint
         endpoint.pump_once()
         while True:
+            taken = progress.bytes_in
             held_back = self._take_in(deployment, progress)
             # every notify makes room in the channel for more of out_pending
             while progress.bytes_out > notified:
-                self.trace.emit(TraceKind.DATA_OUT, deployment_id=deployment_id,
-                                bytes=progress.bytes_out - notified)
                 notified = progress.bytes_out
                 endpoint.notify()
                 self._flush_out(deployment, progress)
-            if not held_back or not self._takes_in(deployment):
+            if held_back:
+                if not self._takes_in(deployment):
+                    return progress
+            elif progress.bytes_in == taken or not endpoint.holds_input:
+                # input the endpoint holds waits for channel room, which
+                # nothing but this taking announces
                 return progress
             endpoint.pump_once()  # the endpoint's intake can move again
 
@@ -389,8 +396,6 @@ class Platform:
             data = deployment.platform_handle.read(self._capacity)
             if data:
                 progress.bytes_in += len(data)
-                self.trace.emit(TraceKind.DATA_IN,
-                                deployment_id=deployment.deployment_id, bytes=len(data))
                 _, ham = self._hams[deployment.ham_id]
                 to_app, events = deployment.runtime.handle_rx(ham.process(data))
                 deployment.out_pending += to_app

@@ -261,6 +261,7 @@ class ControlServer:
         self._listener.listen(8)
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
+        self._followers: set[_Connection] = set()  # connections that stream the trace
         loop.after_wake = self._feed_followers
 
     def _claim_socket(self) -> None:
@@ -360,6 +361,7 @@ class ControlServer:
     def _close(self, conn: _Connection) -> None:
         if conn in self._connections:
             self._connections.remove(conn)
+            self._followers.discard(conn)
             self.loop.unregister(conn.fd)
             conn.sock.close()
 
@@ -368,6 +370,7 @@ class ControlServer:
             request = parse_request(line)
             if request.op == "trace" and request.args["follow"]:
                 conn.cursor = request.args["from_seq"]
+                self._followers.add(conn)
                 reply = encode_response(True, {"streaming": True})
             else:
                 reply = encode_response(True, self._dispatch(request.op, request.args))
@@ -405,8 +408,10 @@ class ControlServer:
     def _feed_followers(self) -> None:
         """Queue the trace events each follower has not had, until its
         outbox holds ``RECV_SIZE`` bytes, and send them."""
+        if not self._followers:
+            return
         trace = self.loop.platform.trace
-        for conn in [c for c in self._connections if c.cursor is not None]:
+        for conn in list(self._followers):  # a failed send closes its connection
             while len(conn.outbox) < RECV_SIZE and conn.cursor < trace.next_seq:
                 event = trace.event(conn.cursor)
                 conn.outbox += json.dumps({"event": event.to_dict()}).encode() + b"\n"

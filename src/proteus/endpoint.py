@@ -29,6 +29,10 @@ from .trace import TraceKind, TraceLog
 logger = logging.getLogger(__name__)
 
 CHUNK = 4096
+# the Linux tty layer hands a client's write to the master in pieces of
+# this size (tty_write's split), so a read that returns a whole piece
+# likely has more of the same write queued right behind it
+TTY_WRITE_PIECE = 2048
 # a master reports hangup, not readiness, while no client holds the
 # node open, so attachment is sampled on a timer instead of watched
 ATTACH_SAMPLE = 0.05
@@ -140,6 +144,10 @@ class PtyEndpoint:
         if not self._in_pending and readable:
             try:
                 self._in_pending = os.read(self._master, CHUNK)
+                if TTY_WRITE_PIECE <= len(self._in_pending) < CHUNK:
+                    # only after a whole piece: a read that finds nothing
+                    # raises, which would tax every keystroke
+                    self._in_pending += os.read(self._master, CHUNK - len(self._in_pending))
             except BlockingIOError:
                 pass
             except OSError as exc:
@@ -197,9 +205,15 @@ class PtyEndpoint:
         """Seconds until a pass is due that no readiness of the master announces."""
         if not self._attached:
             return max(0.0, self._sampled_at + ATTACH_SAMPLE - time.monotonic())
-        if self._in_pending or self._out_pending:
+        if self._out_pending:
             return BACKLOG_POLL
         return None
+
+    @property
+    def holds_input(self) -> bool:
+        """True while bytes read from the client wait for channel room,
+        which no readiness announces (see ``Platform.pump``)."""
+        return bool(self._in_pending)
 
     # -- lifecycle -----------------------------------------------------------
 

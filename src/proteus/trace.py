@@ -1,8 +1,10 @@
 """Structured trace stream: the platform's observable debug output.
 
-Every interesting platform action (registration, deployment, data
-movement, parsed commands) is appended to one totally ordered event log
-that any number of readers can follow from any seq with ``events(since)``.
+Every lifecycle action of the platform (registration, deployment,
+parsed commands, dropped bytes) is appended to one totally ordered event
+log that any number of readers can follow from any seq with
+``events(since)``.  The bytes that pump passes move are counted, not
+traced: an active deployment's ``status`` entry carries the totals.
 
 Nothing here takes a lock.  Events are emitted on one thread: the
 platform loop when daemonized, which also streams them to ``trace
@@ -26,8 +28,6 @@ class TraceKind(enum.Enum):
     IMPLEMENTATION_MATCHED = "ImplementationMatched"
     DEPLOYED = "Deployed"
     ENDPOINT_OPENED = "EndpointOpened"
-    DATA_IN = "DataIn"
-    DATA_OUT = "DataOut"
     COMMAND_PARSED = "CommandParsed"
     UNDEPLOYED = "Undeployed"
     DEPLOY_REJECTED = "DeployRejected"

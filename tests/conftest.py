@@ -23,6 +23,7 @@ class FakeEndpoint:
         self.withdrawn = False
         self.notified = 0
         self.delivered = bytearray()  # what a client would have received
+        self.holds_input = False
 
     def notify(self):
         self.notified += 1

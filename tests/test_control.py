@@ -493,6 +493,8 @@ def test_peer_that_stops_reading_stalls_only_its_own_client(tmp_path):
                     pass
             else:
                 pytest.fail("the client's writes never blocked")
+            # only the carrier's room for more announces the next pass: no timer runs
+            assert d.loop.call(d.platform.pump_timeout) is None
             assert_neighbour_answers(d, shout_fd)
             received = bytearray()
             remote.settimeout(5)
@@ -673,6 +675,37 @@ def test_one_echoed_byte_costs_one_pump_pass(two_modems):
     assert read_until(fd, b"A") == b"A"
     d.loop.call(lambda: None)
     assert passes[before:] == [dep]
+
+
+def test_a_client_write_split_by_the_tty_costs_one_pump_pass(daemon, tmp_path):
+    fd = dial(daemon, tmp_path, b"5551234")  # a loopback call: data comes back
+    passes = []
+    pump = daemon.platform.pump
+
+    def counting_pump(deployment_id, *args, **kwargs):
+        passes.append(deployment_id)
+        return pump(deployment_id, *args, **kwargs)
+
+    try:
+        daemon.loop.call(lambda: setattr(daemon.platform, "pump", counting_pump))
+        rng = random.Random(11)
+        writes = 200
+        for _ in range(writes):
+            # the tty layer hands each 4 KiB write to the master in two pieces
+            block = rng.randbytes(4096)
+            assert os.write(fd, block) == len(block)
+            got = bytearray()
+            deadline = time.monotonic() + 5
+            while len(got) < len(block) and select.select(
+                    [fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                got += os.read(fd, 4096)
+            assert got == block
+        daemon.loop.call(lambda: None)  # the loop has finished that wake-up
+        # a pass per piece makes 2 per write; on a busy CPU the loop now
+        # and then wakes between the pieces, before the rest is there
+        assert len(passes) <= writes * 1.5
+    finally:
+        os.close(fd)
 
 
 def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import select
+import time
 
 import pytest
 
@@ -336,14 +339,31 @@ def test_pump_runs_bytes_through_device_image(platform, endpoint_factory, sim_ha
     assert handle.read(100) == b"MAKE THIS LOUD"
 
 
-def test_pump_emits_data_events(platform, endpoint_factory, sim_ham, shouter_manifest):
+def test_pump_counts_bytes_in_status_and_traces_no_event(tmp_path, sim_ham, shouter_manifest):
+    platform = Platform(runtime_dir=tmp_path)  # a real PTY endpoint, which counts
     platform.register_ham(sim_ham)
     platform.load_module(shouter_manifest)
     dep = platform.deploy("shouter", "sim0")
-    app_handle(endpoint_factory, "shouter-sim0").write(b"x")
-    pump_drain(platform, dep)
-    seen = kinds(platform)
-    assert "DataIn" in seen and "DataOut" in seen
+    fd = os.open(platform.deployment_info(dep)["link"], os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+    try:
+        lifecycle = platform.trace.next_seq
+        os.write(fd, b"make this loud")
+        got = bytearray()
+        moved = 0
+        deadline = time.monotonic() + 5
+        while len(got) < 14 and time.monotonic() < deadline:
+            moved += platform.pump(dep).bytes_in
+            if select.select([fd], [], [], 0.01)[0]:
+                got += os.read(fd, 4096)
+        assert bytes(got) == b"MAKE THIS LOUD"
+        assert moved == 14
+        assert platform.trace.next_seq == lifecycle
+        [entry] = platform.status()["deployments"]
+        assert entry["endpoint"]["bytes_from_app"] == 14
+        assert entry["endpoint"]["bytes_to_app"] == 14
+    finally:
+        os.close(fd)
+        platform.shutdown()
 
 
 def test_pump_modem_module_answers_connect(platform, endpoint_factory, sim_ham, modem_manifest):
