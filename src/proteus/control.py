@@ -86,6 +86,52 @@ def encode_response(ok: bool, payload: dict | None = None,
     return json.dumps(doc).encode() + b"\n"
 
 
+# json.dumps with its defaults, without the per-call check of its arguments
+_encode = json.JSONEncoder().encode
+
+
+class EncodedDict(dict):
+    """A read-only dict that carries its ``json.dumps`` text, encoded once.
+
+    :func:`encode_status_response` sends that text instead of encoding
+    the dict again.  One instance can be handed to every caller, so its
+    values must be immutable too; a copy (``dict(d)``, ``d.copy()``,
+    :mod:`copy`) is a plain dict.
+    """
+
+    __slots__ = ("json",)
+
+    def __init__(self, items: dict):
+        super().__init__(items)
+        self.json = _encode(items)  # an exact dict encodes faster
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("an EncodedDict is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def encode_status_response(status: dict) -> bytes:
+    """``encode_response(True, {"status": status})``, byte for byte.
+
+    Each entry of ``status["deployments"]`` that is an :class:`EncodedDict`
+    goes in as its text; everything else is encoded as usual.
+    """
+    fields = []
+    for key, value in status.items():
+        if key == "deployments":
+            text = "[" + ", ".join(entry.json if type(entry) is EncodedDict
+                                   else _encode(entry) for entry in value) + "]"
+        else:
+            text = _encode(value)
+        fields.append(f"{_encode(key)}: {text}")
+    return ('{"ok": true, "status": {' + ", ".join(fields) + "}}\n").encode()
+
+
 class RemoteError(Exception):
     """An error response from the daemon, carrying its error code."""
 

@@ -19,9 +19,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .channel import ChannelHandle, create_duplex
+from .control import EncodedDict
 from .endpoint import BACKLOG_POLL, PtyEndpoint
 from .errors import (
     ConfigureFailedError,
@@ -43,6 +44,9 @@ from .paths import proteus_dir
 from .trace import TraceKind, TraceLog
 
 logger = logging.getLogger(__name__)
+
+# stopped deployments kept for ``status`` and lookups; the oldest go first
+MAX_TOMBSTONES = 1024
 
 
 class Policy(Enum):
@@ -117,6 +121,40 @@ class Deployment:
     out_pending: bytearray = field(default_factory=bytearray)
     bytes_dropped: int = 0
 
+    def status_entry(self) -> dict:
+        entry = {
+            "deployment_id": self.deployment_id,
+            "module_id": self.module_id,
+            "ham_id": self.ham_id,
+            "state": self.state.value,
+            "policy": self.policy.value,
+        }
+        if self.endpoint is not None and self.state is DeploymentState.ACTIVE:
+            entry["endpoint"] = self.endpoint.snapshot()
+            entry["bytes_dropped"] = self.bytes_dropped
+        return entry
+
+
+@dataclass(slots=True)
+class Tombstone:
+    """What is kept of a stopped deployment: no channel, endpoint or
+    runtime, only who it was and its ``status`` entry, encoded once."""
+
+    deployment_id: str
+    module_id: str
+    ham_id: str
+    policy: Policy
+    entry: EncodedDict
+    state: ClassVar[DeploymentState] = DeploymentState.STOPPED
+
+    @classmethod
+    def of(cls, deployment: Deployment) -> Tombstone:
+        return cls(deployment.deployment_id, deployment.module_id, deployment.ham_id,
+                   deployment.policy, EncodedDict(deployment.status_entry()))
+
+    def status_entry(self) -> EncodedDict:
+        return self.entry
+
 
 @dataclass
 class PumpProgress:
@@ -149,7 +187,10 @@ class Platform:
             _default_endpoint_factory, trace=self.trace)
         self._hams: dict[str, tuple[HamDescriptor, Ham]] = {}
         self._modules: dict[str, ModuleManifest] = {}
-        self._deployments: dict[str, Deployment] = {}
+        # in id order; a stopped one is a tombstone until MAX_TOMBSTONES
+        # later ones push it out
+        self._deployments: dict[str, Deployment | Tombstone] = {}
+        self._tombstones: deque[str] = deque()  # ids, oldest stopped first
         self._occupant: dict[str, str] = {}  # ham_id -> active deployment_id
         self._queues: dict[str, deque[str]] = {}
         self._ids = itertools.count()
@@ -234,7 +275,11 @@ class Platform:
             return deployment.deployment_id
 
         deployment = self._new_deployment(module_id, ham_id, policy)
-        self._activate(deployment)
+        try:
+            self._activate(deployment)
+        except ProteusError:
+            self._bury(deployment)
+            raise
         return deployment.deployment_id
 
     def _new_deployment(self, module_id: str, ham_id: str, policy: Policy) -> Deployment:
@@ -315,7 +360,7 @@ class Platform:
         deployment.runtime.close()
         _, ham = self._hams[deployment.ham_id]
         ham.reset()
-        deployment.state = DeploymentState.STOPPED
+        self._bury(deployment)
         del self._occupant[deployment.ham_id]
         self.trace.emit(TraceKind.UNDEPLOYED,
                         deployment_id=deployment_id,
@@ -329,12 +374,20 @@ class Platform:
                 self._activate(nxt)
                 break
             except ProteusError as exc:
-                nxt.state = DeploymentState.STOPPED
+                self._bury(nxt)
                 self.trace.emit(TraceKind.DEPLOY_REJECTED,
                                 deployment_id=next_id,
                                 module_id=nxt.module_id,
                                 ham_id=nxt.ham_id,
                                 reason=exc.code)
+
+    def _bury(self, deployment: Deployment) -> None:
+        """Replace a deployment that is done with its tombstone."""
+        deployment.state = DeploymentState.STOPPED
+        self._deployments[deployment.deployment_id] = Tombstone.of(deployment)
+        self._tombstones.append(deployment.deployment_id)
+        if len(self._tombstones) > MAX_TOMBSTONES:
+            del self._deployments[self._tombstones.popleft()]
 
     # -- data path -----------------------------------------------------------
 
@@ -492,13 +545,18 @@ class Platform:
             "ham_id": deployment.ham_id,
             "state": deployment.state.value,
         }
-        if deployment.endpoint is not None:
+        if isinstance(deployment, Deployment) and deployment.endpoint is not None:
             info["endpoint"] = deployment.endpoint.os_path
             info["link"] = str(deployment.endpoint.link_path)
         return info
 
     def status(self) -> dict:
-        """Snapshot of hams, modules, deployments, and queue depths."""
+        """Snapshot of hams, modules, deployments, and queue depths.
+
+        Deployments are listed in id order; of the stopped ones, only the
+        last ``MAX_TOMBSTONES`` are kept.  A stopped one's entry is a
+        read-only :class:`~proteus.control.EncodedDict`, the same each call.
+        """
         hams = []
         for ham_id, (descriptor, _) in sorted(self._hams.items()):
             hams.append({
@@ -519,23 +577,10 @@ class Platform:
                     for impl in manifest.implementations
                 ],
             })
-        deployments = []
-        for deployment in self._deployments.values():
-            entry = {
-                "deployment_id": deployment.deployment_id,
-                "module_id": deployment.module_id,
-                "ham_id": deployment.ham_id,
-                "state": deployment.state.value,
-                "policy": deployment.policy.value,
-            }
-            if deployment.endpoint is not None and deployment.state is DeploymentState.ACTIVE:
-                entry["endpoint"] = deployment.endpoint.snapshot()
-                entry["bytes_dropped"] = deployment.bytes_dropped
-            deployments.append(entry)
         return {
             "hams": hams,
             "modules": modules,
-            "deployments": deployments,
+            "deployments": [d.status_entry() for d in self._deployments.values()],
             "queue_depth": sum(len(q) for q in self._queues.values()),
         }
 

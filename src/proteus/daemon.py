@@ -31,7 +31,7 @@ import time
 from collections import deque
 from pathlib import Path
 
-from .control import encode_response, parse_request
+from .control import encode_response, encode_status_response, parse_request
 from .core import Platform, Policy
 from .errors import (
     AlreadyRunningError,
@@ -40,6 +40,7 @@ from .errors import (
     ProtocolError,
     RequestTooLongError,
     TooManyClientsError,
+    UnknownDeploymentError,
 )
 from .paths import default_socket_path
 
@@ -168,8 +169,8 @@ class PlatformLoop:
                 for deployment_id in fired:
                     try:
                         platform.pump(deployment_id)
-                    except DeploymentNotActiveError:
-                        pass  # a call above undeployed it
+                    except (DeploymentNotActiveError, UnknownDeploymentError):
+                        pass  # a call above undeployed it, or so many that it is forgotten
             self.after_wake()
             self._watch()
 
@@ -372,6 +373,9 @@ class ControlServer:
                 conn.cursor = request.args["from_seq"]
                 self._followers.add(conn)
                 reply = encode_response(True, {"streaming": True})
+            elif request.op == "status":  # stopped deployments' entries come encoded
+                reply = encode_status_response(
+                    self._dispatch(request.op, request.args)["status"])
             else:
                 reply = encode_response(True, self._dispatch(request.op, request.args))
         except ProteusError as exc:

@@ -13,8 +13,13 @@ import threading
 import time
 import warnings
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from proteus import core
 from proteus.control import (
     REQUEST_SCHEMA,
     ControlClient,
@@ -22,14 +27,22 @@ from proteus.control import (
     RemoteError,
     encode_request,
     encode_response,
+    encode_status_response,
     parse_request,
 )
+from proteus.core import Platform, Policy
 from proteus.daemon import MAX_CLIENTS, MAX_LINE, Daemon, PlatformLoop
-from proteus.errors import AlreadyRunningError, ProtocolError
+from proteus.errors import (
+    AlreadyRunningError,
+    ProteusError,
+    ProtocolError,
+    UnknownDeploymentError,
+)
 from proteus.ham import SimulatedFpga
+from proteus.manifest import Implementation, ModuleManifest
 from proteus.modem import GUARD_SECONDS
 
-from conftest import make_manifest
+from conftest import FakeEndpointFactory, make_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +107,55 @@ def test_response_encoding_shapes():
     assert err["error"] == {"code": "unknown-module", "message": "no such module: m"}
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(module_ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3,
+                           unique=True),
+       display_name=st.text(max_size=8),
+       resource=JSON_VALUES,
+       bound=st.integers(1, 4),
+       ops=st.lists(st.tuples(st.sampled_from(["deploy", "queue", "fail", "undeploy"]),
+                              st.integers(0, 7)), max_size=20))
+def test_joined_status_reply_is_the_encoded_status_byte_for_byte(
+        tmp_path_factory, module_ids, display_name, resource, bound, ops):
+    """Stopped entries go in pre-encoded; the reply must not differ by a byte."""
+    platform = Platform(runtime_dir=tmp_path_factory.getbasetemp(),
+                        endpoint_factory=FakeEndpointFactory())
+    for ham_id in ("sim0", "sim1"):
+        platform.register_ham(SimulatedFpga(ham_id, "sim-fpga-v1", resources={
+            "deployments": resource, "cells": "250k"}))
+    for module_id in module_ids:
+        platform.load_module(ModuleManifest(module_id, display_name + "\u00e9\u6a21",
+                                            (Implementation("sim-fpga-v1", "identity",
+                                                            "identity"),)))
+    platform.load_module(make_manifest("broken", "identity", image="no-such-image"))
+    # active, stopped, active again, queued and failed, before the drawn ops
+    preamble = [("deploy", 0), ("undeploy", 0), ("deploy", 0), ("queue", 0), ("fail", 1)]
+    ids = []
+    seen = set()
+    with mock.patch.object(core, "MAX_TOMBSTONES", bound):
+        for op, k in preamble + ops:
+            try:
+                if op == "undeploy":
+                    platform.undeploy(ids[k % len(ids)])
+                else:
+                    module_id = "broken" if op == "fail" else module_ids[k % len(module_ids)]
+                    policy = Policy.QUEUE if op == "queue" else Policy.REJECT
+                    ids.append(platform.deploy(module_id, f"sim{k % 2}", policy))
+            except ProteusError:
+                pass
+            status = platform.status()
+            assert encode_status_response(status) == encode_response(True, {"status": status})
+            seen.update(entry["state"] for entry in status["deployments"])
+    assert seen >= {"active", "pending", "stopped"}
+
+
 # ---------------------------------------------------------------------------
 # a live daemon
 
@@ -137,6 +199,20 @@ def test_status_lists_registered_hardware(client):
     status = client.request("status")["status"]
     assert status["hams"][0]["ham_id"] == "sim0"
     assert status["deployments"] == []
+
+
+def test_status_reply_on_the_wire_is_the_encoded_status(daemon, tmp_path):
+    with ControlClient(daemon.server.socket_path) as c:
+        c.request("load", path=str(tmp_path / "modem.yaml"))
+        c.request("undeploy", deployment_id=c.request(
+            "deploy", module_id="modem", ham_id="sim0")["deployment_id"])
+        c.request("deploy", module_id="modem", ham_id="sim0")
+        c.request("deploy", module_id="modem", ham_id="sim0", policy="queue")
+    status = daemon.loop.call(daemon.platform.status)
+    assert [d["state"] for d in status["deployments"]] == ["stopped", "active", "pending"]
+    with connect_raw(daemon) as raw, raw.makefile("rb") as replies:
+        raw.sendall(b'{"op": "status"}\n')
+        assert replies.readline() == encode_response(True, {"status": status})
 
 
 def test_load_deploy_status_undeploy_cycle(client, tmp_path):
@@ -1067,4 +1143,47 @@ def test_trace_follow_ends_when_the_daemon_stops(tmp_path):
         assert threading.active_count() == threads
     finally:
         follower.close()
+        d.stop()
+
+
+def test_a_deployment_forgotten_before_its_pass_is_skipped(monkeypatch, tmp_path):
+    """Requests served in one wake-up can stop a deployment whose PTY fired
+    in it, and then enough others that its tombstone is evicted; the loop
+    skips that deployment's pass and goes on serving."""
+    monkeypatch.setattr(core, "MAX_TOMBSTONES", 1)
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for ham_id in ("sim0", "sim1"):
+        d.platform.register_ham(SimulatedFpga(ham_id, "sim-fpga-v1"))
+    d.platform.load_module(make_manifest("shouter", "identity", "upper"))
+    d.start()
+    fds = []
+    try:
+        deps = [d.loop.call(lambda ham_id=ham_id: d.platform.deploy("shouter", ham_id))
+                for ham_id in ("sim0", "sim1")]
+        for dep in deps:
+            fds.append(os.open(d.platform.deployment_info(dep)["link"],
+                               os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK))
+        d.loop.call(d.platform.status)  # samples attachment: no pass is due by timer
+        with connect_raw(d) as raw, raw.makefile("rb") as replies:
+            raw.sendall(b'{"op": "start"}\n')
+            assert json.loads(replies.readline())["ok"] is True
+            gate = threading.Event()
+            held = threading.Thread(target=d.loop.call, args=(gate.wait,))
+            held.start()  # the loop waits on the gate while both fds get ready
+            try:
+                os.write(fds[0], b"a")
+                raw.sendall(b"".join(encode_request(ControlRequest(
+                    "undeploy", {"deployment_id": dep})) for dep in deps))
+                time.sleep(0.1)
+            finally:
+                gate.set()
+                held.join(timeout=5)
+            assert not held.is_alive()
+            assert [json.loads(replies.readline())["ok"] for _ in deps] == [True, True]
+        assert d.loop.call(lambda: d.platform.active_count, timeout=5) == 0
+        with pytest.raises(UnknownDeploymentError):
+            d.loop.call(lambda: d.platform.deployment_info(deps[0]))
+    finally:
+        for fd in fds:
+            os.close(fd)
         d.stop()

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import random
 import select
 import time
+import tracemalloc
 
 import pytest
 
+from proteus import core
 from proteus.core import DeploymentState, Platform, Policy
 from proteus.errors import (
     ConfigureFailedError,
@@ -687,3 +690,101 @@ def test_status_reports_registries_and_business(platform, sim_ham, modem_manifes
     entry = [d for d in st["deployments"] if d["deployment_id"] == dep][0]
     assert entry["state"] == "active"
     assert entry["endpoint"]["name"] == "modem-sim0"
+
+
+# ---------------------------------------------------------------------------
+# stopped deployments: bounded tombstones
+
+
+def test_failed_direct_deploy_is_stopped_not_pending(platform, sim_ham):
+    platform.register_ham(sim_ham)
+    platform.load_module(make_manifest("m", "identity", image="no-such-image"))
+    with pytest.raises(ConfigureFailedError):
+        platform.deploy("m", "sim0")
+    [entry] = platform.status()["deployments"]
+    assert entry["state"] == "stopped"
+    assert platform.status()["queue_depth"] == 0
+    info = platform.deployment_info(entry["deployment_id"])
+    assert info == {"module_id": "m", "ham_id": "sim0", "state": "stopped"}
+    with pytest.raises(DeploymentNotActiveError):
+        platform.undeploy(entry["deployment_id"])
+
+
+def test_stopped_deployment_keeps_no_endpoint(platform, sim_ham, modem_manifest):
+    platform.register_ham(sim_ham)
+    platform.load_module(modem_manifest)
+    dep = platform.deploy("modem", "sim0")
+    assert "link" in platform.deployment_info(dep)
+    platform.undeploy(dep)
+    assert platform.deployment_info(dep) == {
+        "module_id": "modem", "ham_id": "sim0", "state": "stopped"}
+    [entry] = platform.status()["deployments"]
+    assert entry == {"deployment_id": dep, "module_id": "modem", "ham_id": "sim0",
+                     "state": "stopped", "policy": "reject"}
+    with pytest.raises(TypeError):
+        entry["state"] = "active"  # one entry serves every caller
+    assert platform.status()["deployments"] == [entry]
+
+
+def cycle(platform):
+    dep = platform.deploy("shouter", "sim0")
+    platform.undeploy(dep)
+    return dep
+
+
+def test_status_lists_at_most_the_bound_of_stopped_deployments(
+        monkeypatch, platform, sim_ham, shouter_manifest):
+    monkeypatch.setattr(core, "MAX_TOMBSTONES", 4)
+    platform.register_ham(sim_ham)
+    platform.register_ham(SimulatedFpga("sim1", "sim-fpga-v1"))
+    platform.load_module(shouter_manifest)
+    active = platform.deploy("shouter", "sim1")
+    stopped = [cycle(platform) for _ in range(10)]
+    queued = platform.deploy("shouter", "sim1", policy=Policy.QUEUE)
+    listed = [(d["deployment_id"], d["state"]) for d in platform.status()["deployments"]]
+    # id order, with only the last four stopped ones
+    assert listed == [(active, "active")] + [(d, "stopped") for d in stopped[-4:]] + [
+        (queued, "pending")]
+
+
+def test_evicted_id_is_unknown_and_a_kept_one_is_not_active(
+        monkeypatch, platform, sim_ham, shouter_manifest):
+    monkeypatch.setattr(core, "MAX_TOMBSTONES", 4)
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    stopped = [cycle(platform) for _ in range(5)]
+    evicted, kept = stopped[0], stopped[1]
+    for call in (platform.undeploy, platform.deployment_info, platform.pump):
+        with pytest.raises(UnknownDeploymentError):
+            call(evicted)
+    assert platform.deployment_info(kept)["state"] == "stopped"
+    with pytest.raises(DeploymentNotActiveError):
+        platform.undeploy(kept)
+    with pytest.raises(DeploymentNotActiveError):
+        platform.pump(kept)
+
+
+def test_heap_stays_flat_over_deploy_cycles(monkeypatch, platform, sim_ham, shouter_manifest):
+    """Beyond the tombstone bound, a deploy/undeploy cycle leaves nothing
+    behind.  The trace log's own growth is taken out: its emit keeps
+    nothing here, since bounding the log is a separate matter."""
+    monkeypatch.setattr(core, "MAX_TOMBSTONES", 16)
+    monkeypatch.setattr(platform.trace, "emit", lambda kind, **detail: None)
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    for _ in range(200):  # past the bound, and every cache warm
+        cycle(platform)
+    cycles = 2000
+    tracemalloc.start()
+    try:
+        gc.collect()  # each channel's two handles are a cycle: count none of them
+        before = tracemalloc.take_snapshot()
+        for _ in range(cycles):
+            cycle(platform)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert grown / cycles < 1024, grown / cycles
+    assert len(platform.status()["deployments"]) == 16
