@@ -4,7 +4,10 @@ A :class:`DuplexChannel` is one shared pair of bounded ring buffers with
 exactly two handles, one per side.  Each direction has a single producer
 and a single consumer; reads and writes never block and may be partial.
 Closing a handle leaves already-buffered bytes readable by the peer
-(drain semantics), after which the peer sees end-of-stream.
+(drain semantics), after which the peer sees end-of-stream.  It also
+drops the closed handle's link to its peer, so a pair of handles is no
+reference cycle once either side is closed, and refcounting frees the
+rings as soon as nothing holds the handles.
 
 Nothing here takes a lock.  Each ring position has one writer: the
 producer copies bytes in before it advances ``write_pos``, and the
@@ -165,15 +168,22 @@ class ChannelHandle:
             return None
         return data
 
+    @property
+    def readable(self) -> int:
+        """Bytes this side can read now; a cheap test before :meth:`read`."""
+        inbound = self._inbound
+        return inbound.write_pos - inbound.read_pos
+
     def close(self) -> None:
         """Close this side.  Idempotent."""
         self._open = False
+        self._peer = None  # the peer still sees this side, closed
 
     def poll(self) -> PollStatus:
         return PollStatus(
             readable=self._inbound.readable,
             writable=self._outbound.writable,
-            peer_open=self._peer._open,
+            peer_open=self._peer is not None and self._peer._open,
         )
 
     @property

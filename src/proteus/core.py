@@ -6,6 +6,12 @@ their traffic, and the OS endpoint a native application opens.  Exactly
 one deployment may hold a given device at a time; contenders are either
 rejected or queued FIFO.  All mutating calls are meant to run on a
 single thread of control (the platform loop when daemonized).
+
+Each active deployment waits on up to two fds (its PTY master and its
+TCP carrier) and on one absolute deadline, the earliest pass that no fd
+announces.  They are worked out at the end of the deployment's own pass,
+and on deploy and undeploy, and a watcher (the platform loop) hears of
+them only when they change; see :meth:`Platform.set_watcher`.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
 )
 from .ham import Ham, HamDescriptor, HardwareImage
 from .manifest import Implementation, ModuleManifest, load_manifest
-from .modem import DialPlan, Modem, load_dial_plan
+from .modem import DialPlan, FeedResult, Modem, load_dial_plan
 from .paths import proteus_dir
 from .trace import TraceKind, TraceLog
 
@@ -64,13 +70,18 @@ class DeploymentState(Enum):
 # --- platform-side module behaviors ----------------------------------------
 
 class IdentityRuntime:
-    """Pass-through module logic: hardware output goes straight back."""
+    """Pass-through module logic: hardware output goes straight back.
 
-    def handle_rx(self, data: bytes) -> tuple[bytes, list]:
-        return data, []
+    A module behavior has the :class:`~proteus.modem.Modem`'s interface:
+    ``feed`` takes what the hardware produced, ``carrier_pump`` what no
+    input brings, and both return a :class:`~proteus.modem.FeedResult`.
+    """
 
-    def poll(self) -> tuple[bytes, list]:
-        return b"", []
+    def feed(self, data: bytes) -> FeedResult:
+        return FeedResult(data)
+
+    def carrier_pump(self) -> FeedResult:
+        return FeedResult()
 
     def accepts_input(self) -> bool:
         return True
@@ -78,7 +89,7 @@ class IdentityRuntime:
     def watch(self, room: bool) -> None:
         return None
 
-    def pump_timeout(self) -> float | None:
+    def deadline(self) -> float | None:
         return None
 
     def close(self) -> None:
@@ -92,14 +103,6 @@ class ModemRuntime(Modem):
         plan_path = config.get("dial_plan")
         super().__init__(dial_plan=load_dial_plan(plan_path) if plan_path else None,
                          clock=clock)
-
-    def handle_rx(self, data: bytes) -> tuple[bytes, list]:
-        result = self.feed(data)
-        return result.to_app, result.events
-
-    def poll(self) -> tuple[bytes, list]:
-        result = self.carrier_pump()
-        return result.to_app, result.events
 
 
 RUNTIME_BEHAVIORS: dict[str, Callable] = {
@@ -172,7 +175,9 @@ class Platform:
     """The platform core and its trace stream.
 
     ``endpoint_factory`` may be overridden for tests that do not need a
-    real pseudo-terminal per deployment.
+    real pseudo-terminal per deployment.  Deadlines are on
+    ``time.monotonic``, which ``clock``, the modules' clock, must then be
+    for a loop to keep them.
     """
 
     def __init__(self, runtime_dir: Path | str | None = None,
@@ -194,6 +199,12 @@ class Platform:
         self._occupant: dict[str, str] = {}  # ham_id -> active deployment_id
         self._queues: dict[str, deque[str]] = {}
         self._ids = itertools.count()
+        # deployment id -> (fds, deadline) as last reported, for each one
+        # that waits on something; see set_watcher
+        self._watching: dict[str, tuple[dict, float | None]] = {}
+        self._on_watch: Callable = lambda deployment_id, fds, deadline: None
+        # stopped deployments' endpoints whose client still reads the tail
+        self._draining: dict[str, PtyEndpoint] = {}
 
     # -- registries ----------------------------------------------------------
 
@@ -332,6 +343,7 @@ class Platform:
             raise
         self._occupant[deployment.ham_id] = deployment.deployment_id
         deployment.state = DeploymentState.ACTIVE
+        self._rewatch(deployment)
         self.trace.emit(TraceKind.DEPLOYED,
                         deployment_id=deployment.deployment_id,
                         module_id=deployment.module_id,
@@ -354,8 +366,12 @@ class Platform:
             raise DeploymentNotActiveError(
                 f"deployment {deployment_id} is {deployment.state.value}, not active")
         deployment.state = DeploymentState.STOPPING
-        self.pump(deployment_id, _allow_stopping=True)  # final flush
-        deployment.endpoint.withdraw()
+        self._pass(deployment)  # final flush
+        self._report(deployment_id, {}, None)  # while its fds are still open
+        if deployment.endpoint.withdraw():
+            # the client reads the tail on its own time, not the loop's
+            self._draining[deployment_id] = deployment.endpoint
+            self._report(deployment_id, {}, deployment.endpoint.watch()[1])
         deployment.platform_handle.close()
         deployment.runtime.close()
         _, ham = self._hams[deployment.ham_id]
@@ -391,7 +407,7 @@ class Platform:
 
     # -- data path -----------------------------------------------------------
 
-    def pump(self, deployment_id: str, _allow_stopping: bool = False) -> PumpProgress:
+    def pump(self, deployment_id: str) -> PumpProgress:
         """Move what is ready PTY -> channel -> hardware -> module and back.
 
         Bytes the application wrote are run through the device image and
@@ -404,15 +420,20 @@ class Platform:
         pass goes on with that too.  So does input the endpoint holds for
         want of channel room once the pass has taken from the channel.
         The bytes a pass moves are counted in the endpoint's ``status``
-        entry, not traced.
+        entry, not traced.  Last, the pass works out what the deployment
+        waits on next.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
             raise UnknownDeploymentError(f"no such deployment: {deployment_id}")
-        if deployment.state is not DeploymentState.ACTIVE and not _allow_stopping:
+        if deployment.state is not DeploymentState.ACTIVE:
             raise DeploymentNotActiveError(
                 f"deployment {deployment_id} is {deployment.state.value}, not active")
+        progress = self._pass(deployment)
+        self._rewatch(deployment)
+        return progress
 
+    def _pass(self, deployment: Deployment) -> PumpProgress:
         progress = PumpProgress()
         notified = 0
         endpoint = deployment.endpoint
@@ -424,7 +445,8 @@ class Platform:
             while progress.bytes_out > notified:
                 notified = progress.bytes_out
                 endpoint.notify()
-                self._flush_out(deployment, progress)
+                if deployment.out_pending:
+                    self._flush_out(deployment, progress)
             if held_back:
                 if not self._takes_in(deployment):
                     return progress
@@ -442,31 +464,29 @@ class Platform:
         """Run the application's bytes through hardware and module into
         ``out_pending``; True if intake was held back, by output backlog
         or by a module that takes no input for now."""
-        self._flush_out(deployment, progress)
+        if deployment.out_pending:
+            self._flush_out(deployment, progress)
         held_back = not self._takes_in(deployment)
         events: list = []
-        if not held_back:
+        if not held_back and deployment.platform_handle.readable:
             data = deployment.platform_handle.read(self._capacity)
-            if data:
-                progress.bytes_in += len(data)
-                _, ham = self._hams[deployment.ham_id]
-                to_app, events = deployment.runtime.handle_rx(ham.process(data))
-                deployment.out_pending += to_app
+            progress.bytes_in += len(data)
+            _, ham = self._hams[deployment.ham_id]
+            result = deployment.runtime.feed(ham.process(data))
+            deployment.out_pending += result.to_app
+            events = result.events
         if len(deployment.out_pending) < self._capacity:  # else the module waits too
-            to_app, evs = deployment.runtime.poll()
-            deployment.out_pending += to_app
-            events += evs
-        self._flush_out(deployment, progress)
+            result = deployment.runtime.carrier_pump()
+            deployment.out_pending += result.to_app
+            events += result.events
+        if deployment.out_pending:
+            self._flush_out(deployment, progress)
         for event in events:
-            if event.get("kind") == "CommandParsed":
-                detail = {k: v for k, v in event.items() if k != "kind"}
-                self.trace.emit(TraceKind.COMMAND_PARSED,
-                                deployment_id=deployment.deployment_id, **detail)
+            self.trace.emit(TraceKind.COMMAND_PARSED,
+                            deployment_id=deployment.deployment_id, **event)
         return held_back
 
     def _flush_out(self, deployment: Deployment, progress: PumpProgress) -> None:
-        if not deployment.out_pending:
-            return
         try:
             accepted = deployment.platform_handle.write(bytes(deployment.out_pending))
         except ProteusError:
@@ -482,53 +502,96 @@ class Platform:
             progress.bytes_out += accepted
 
     def pump_all(self) -> bool:
-        """Pump every active deployment once; True if any bytes moved."""
+        """Pump every active deployment once, and look at each withdrawn
+        endpoint's client; True if any bytes moved."""
         progressed = False
         for deployment_id in list(self._occupant.values()):
             p = self.pump(deployment_id)
             progressed = progressed or bool(p.bytes_in or p.bytes_out)
+        for deployment_id in list(self._draining):
+            self.pump_due(deployment_id)
         return progressed
+
+    def pump_due(self, deployment_id: str) -> None:
+        """Serve a deadline reported for ``deployment_id`` that has come:
+        a pump pass while it is active, a look at the client of its
+        withdrawn endpoint once it has stopped."""
+        endpoint = self._draining.get(deployment_id)
+        if endpoint is None:
+            self.pump(deployment_id)
+        elif endpoint.linger():
+            self._report(deployment_id, {}, endpoint.watch()[1])
+        else:
+            del self._draining[deployment_id]
+            self._report(deployment_id, {}, None)
+
+    # -- what a loop waits on --------------------------------------------------
+
+    def set_watcher(self, on_watch: Callable[[str, dict, float | None], None]) -> None:
+        """Call ``on_watch(deployment_id, fds, deadline)`` for what each
+        deployment waits on now, and again whenever that changes.
+
+        ``fds`` maps each fd whose readiness calls for a pump pass of the
+        deployment to (epoll events, holder), where the holder is the
+        object that owns the fd; once it closes, a new holder may get the
+        same number, which the watcher must register afresh.  A
+        deployment may have two: its PTY master and its TCP carrier.
+        ``deadline`` is when, on ``time.monotonic``, :meth:`pump_due` is
+        due, or None.  A deployment that stops reports no fds before
+        they close, and a deadline only while its endpoint's client still
+        reads the tail.
+        """
+        self._on_watch = on_watch
+        for deployment_id, (fds, deadline) in self._watching.items():
+            on_watch(deployment_id, fds, deadline)
+
+    def _rewatch(self, deployment: Deployment) -> None:
+        """Work out what ``deployment`` waits on; report it if that changed."""
+        endpoint, runtime = deployment.endpoint, deployment.runtime
+        fd, deadline = endpoint.watch()
+        fds = {} if fd is None else {fd: (select.EPOLLIN, endpoint)}
+        carrier = runtime.watch(len(deployment.out_pending) < self._capacity)
+        if carrier is not None:
+            holder, events = carrier
+            fds[holder.fileno()] = (events, holder)
+        # output held back behind a full channel waits on the endpoint's
+        # own backlog, whose retry its deadline names
+        due = runtime.deadline()
+        if due is not None and (deadline is None or due < deadline):
+            deadline = due
+        if (fds, deadline) != self._watching.get(deployment.deployment_id, ({}, None)):
+            self._report(deployment.deployment_id, fds, deadline)
+
+    def _report(self, deployment_id: str, fds: dict, deadline: float | None) -> None:
+        if fds or deadline is not None:
+            self._watching[deployment_id] = (fds, deadline)
+        else:
+            self._watching.pop(deployment_id, None)
+        self._on_watch(deployment_id, fds, deadline)
 
     def watch_fds(self) -> dict[int, tuple[str, int, object]]:
         """fd -> (deployment_id, epoll events, holder) for each fd whose
-        readiness calls for a pump pass of that deployment.
-
-        A deployment may have two: its PTY master and its TCP carrier.
-        The holder is the object that owns the fd; once it closes, a new
-        holder may get the same number, which a caller keeping epoll
-        registrations must register afresh.
-        """
-        watched = {}
-        for deployment_id in self._occupant.values():
-            deployment = self._deployments[deployment_id]
-            endpoint = deployment.endpoint
-            fd = endpoint.watch_fd()
-            if fd is not None:
-                watched[fd] = (deployment_id, select.EPOLLIN, endpoint)
-            carrier = deployment.runtime.watch(len(deployment.out_pending) < self._capacity)
-            if carrier is not None:
-                holder, events = carrier
-                watched[holder.fileno()] = (deployment_id, events, holder)
-        return watched
+        readiness calls for a pump pass of that deployment, as last
+        reported (see :meth:`set_watcher`)."""
+        return {fd: (deployment_id, events, holder)
+                for deployment_id, (fds, _) in self._watching.items()
+                for fd, (events, holder) in fds.items()}
 
     def pump_timeout(self) -> float | None:
-        """Seconds until a pump pass is due that no watched fd announces.
+        """Seconds until the earliest reported deadline, or None.
 
         None means none is due: the platform waits on I/O alone.  A
-        timeout comes from an endpoint looking for a client, the modem's
-        escape guard time or connect timeout, or output held back by a
-        full channel.  The polls count from now, so a caller that pumps only
-        the deployments whose fd fired keeps the earliest deadline until
-        it has called :meth:`pump_all`.
+        deadline comes from an endpoint looking for a client, retrying
+        output a full PTY held back or waiting for a withdrawn client to
+        read its tail, or from the modem's escape guard time or connect
+        timeout.  Each is absolute and reported when it changes (see
+        :meth:`set_watcher`); only this answer counts from now.
         """
-        timeouts = []
-        for deployment_id in self._occupant.values():
-            deployment = self._deployments[deployment_id]
-            timeouts.append(deployment.endpoint.pump_timeout())
-            timeouts.append(deployment.runtime.pump_timeout())
-            if deployment.out_pending:
-                timeouts.append(BACKLOG_POLL)
-        return min((t for t in timeouts if t is not None), default=None)
+        deadlines = [deadline for _, deadline in self._watching.values()
+                     if deadline is not None]
+        if not deadlines:
+            return None
+        return max(0.0, min(deadlines) - time.monotonic())
 
     # -- introspection -------------------------------------------------------
 
@@ -577,15 +640,24 @@ class Platform:
                     for impl in manifest.implementations
                 ],
             })
+        deployments = [d.status_entry() for d in self._deployments.values()]
+        for deployment_id in self._occupant.values():
+            # the entries sampled each endpoint's attachment
+            self._rewatch(self._deployments[deployment_id])
         return {
             "hams": hams,
             "modules": modules,
-            "deployments": [d.status_entry() for d in self._deployments.values()],
+            "deployments": deployments,
             "queue_depth": sum(len(q) for q in self._queues.values()),
         }
 
     def shutdown(self) -> None:
-        """Undeploy everything that is still active."""
+        """Undeploy everything that is still active, and wait, within
+        each endpoint's ``DRAIN_WAIT``, for clients to read their tails."""
         # undeploying can activate a queued deployment, which goes too
         while self._occupant:
             self.undeploy(next(iter(self._occupant.values())))
+        while self._draining:
+            time.sleep(BACKLOG_POLL)
+            for deployment_id in list(self._draining):
+                self.pump_due(deployment_id)

@@ -6,21 +6,25 @@ between its PTY, its module and its TCP carrier.  The daemon has no
 other thread, whatever it serves.  The loop blocks in one epoll on a
 wake eventfd, the PTY master of every attached endpoint, the socket of
 every TCP carrier, the control listener and every control connection,
-with a timeout only while a pass is due that no fd announces (see
-:meth:`proteus.core.Platform.pump_timeout`).  Each wake-up serves the
-control connections that are ready, then pumps only the deployments
-whose fd fired; once that deadline has passed, or after
-:meth:`PlatformLoop.kick`, it pumps every active deployment once, so a
-busy neighbour cannot hold back a pass that is due.  Last, it tops up
-each trace follower's output from the trace log.  A control request
-reaches the platform through :meth:`PlatformLoop.call`, which runs in
-place on the loop thread; other threads (tests, embedders) still hand
-their calls to the loop.
+with a timeout only while some deployment has a deadline: a pass due
+that no fd announces.  The platform tells the loop a deployment's fds
+and absolute deadline when they change (see
+:meth:`proteus.core.Platform.set_watcher`), and the loop keeps its epoll
+registrations and a heap of deadlines in step; a wake-up that changes
+neither touches neither.  Each wake-up serves the control connections
+that are ready, pumps the deployments whose fd fired, and serves the
+deadlines that have come, so a busy neighbour cannot hold back a pass
+that is due; after :meth:`PlatformLoop.kick` it pumps every active
+deployment once.  Last, it tops up each trace follower's output from the
+trace log.  A control request reaches the platform through
+:meth:`PlatformLoop.call`, which runs in place on the loop thread; other
+threads (tests, embedders) still hand their calls to the loop.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import logging
 import os
@@ -30,9 +34,11 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
+from typing import Callable
 
 from .control import encode_response, encode_status_response, parse_request
 from .core import Platform, Policy
+from .endpoint import BACKLOG_POLL
 from .errors import (
     AlreadyRunningError,
     DeploymentNotActiveError,
@@ -70,14 +76,20 @@ class PlatformLoop:
         self._wake_lock = threading.Lock()  # no write once stop closed it
         self._epoll = select.epoll()
         self._epoll.register(self._wake, select.EPOLLIN)
-        self._watched: dict[int, tuple] = {}  # as Platform.watch_fds gave it
         # registered fd -> the deployment it pumps, or the handler it calls;
         # a closed fd whose number was reused belongs to its new owner
         self._owner: dict[int, object] = {}
-        self.after_wake = lambda: None  # runs on the loop thread after each wake-up's pumps
-        self._stop = threading.Event()
+        self._watched: dict[str, dict] = {}  # deployment id -> its fds, as reported
+        self._deadlines: dict[str, float] = {}  # deployment id -> its deadline
+        # (deadline, deployment id), earliest first; an entry that no longer
+        # matches _deadlines is stale and dropped once it comes up
+        self._timers: list[tuple[float, str]] = []
+        # called, if set, on the loop thread after each wake-up's pumps
+        self.after_wake: Callable[[], None] | None = None
+        self._stopped = False
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
+        platform.set_watcher(self._rewatch)
 
     def start(self) -> None:
         self._thread.start()
@@ -131,28 +143,21 @@ class PlatformLoop:
 
     def _run(self) -> None:
         platform = self.platform
-        # when a pass over every deployment is due; kept across wake-ups
-        # that pump only what fired, since some timeouts are relative
-        deadline = None
-        while not self._stop.is_set():
-            timeout = platform.pump_timeout()
-            now = time.monotonic()
-            if timeout is None:
-                deadline = None  # nothing is due any more
-            elif deadline is None or now + timeout < deadline:
-                deadline = now + timeout
-            events = self._epoll.poll(-1 if deadline is None else max(0.0, deadline - now))
-            fired = {}  # the deployments to pump, once each, in order
+        timers = self._timers
+        while not self._stopped:
+            while timers and self._deadlines.get(timers[0][1]) != timers[0][0]:
+                heapq.heappop(timers)  # superseded
+            events = self._epoll.poll(
+                max(0.0, timers[0][0] - time.monotonic()) if timers else -1)
+            passes = {}  # deployment -> its deadline that has come, or None; in order
             for fd, _ in events:
                 owner = self._owner.get(fd)
                 if fd == self._wake:
                     os.eventfd_read(self._wake)
                 elif isinstance(owner, str):
-                    fired[owner] = None
+                    passes[owner] = None
                 elif owner is not None:  # None: unregistered by a handler above
                     owner()
-            due = self._kicked or (deadline is not None
-                                   and (not events or time.monotonic() >= deadline))
             while self._calls:
                 call = self._calls.popleft()
                 try:
@@ -161,26 +166,42 @@ class PlatformLoop:
                     call.error = exc
                 finally:
                     call.done.set()
-            if due:
+            if self._kicked:
                 self._kicked = False  # a kick that came in since is served by this pass
-                deadline = None
                 platform.pump_all()
-            else:
-                for deployment_id in fired:
-                    try:
+                passes.clear()
+            now = time.monotonic() if timers else 0.0
+            while timers and timers[0][0] <= now:
+                deadline, deployment_id = heapq.heappop(timers)
+                if self._deadlines.get(deployment_id) == deadline:
+                    passes[deployment_id] = deadline
+            for deployment_id, deadline in passes.items():
+                try:
+                    if deadline is None:
                         platform.pump(deployment_id)
-                    except (DeploymentNotActiveError, UnknownDeploymentError):
-                        pass  # a call above undeployed it, or so many that it is forgotten
-            self.after_wake()
-            self._watch()
+                    else:
+                        platform.pump_due(deployment_id)
+                except (DeploymentNotActiveError, UnknownDeploymentError):
+                    pass  # a call above undeployed it, or so many that it is forgotten
+                if deadline is not None and self._deadlines.get(deployment_id) == deadline:
+                    # its pass left the deadline as it was: look again shortly, not at once
+                    self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
+            if self.after_wake is not None:
+                self.after_wake()
 
-    def _watch(self) -> None:
-        """Make epoll watch exactly the fds the platform wants watched."""
-        wanted = self.platform.watch_fds()
-        if wanted == self._watched:
-            return
-        for fd, (deployment_id, _, holder) in self._watched.items():
-            if fd in wanted and wanted[fd][2] is holder:
+    def _set_deadline(self, deployment_id: str, deadline: float | None) -> None:
+        if deadline is None:
+            self._deadlines.pop(deployment_id, None)
+        elif self._deadlines.get(deployment_id) != deadline:
+            self._deadlines[deployment_id] = deadline
+            heapq.heappush(self._timers, (deadline, deployment_id))
+
+    def _rewatch(self, deployment_id: str, fds: dict, deadline: float | None) -> None:
+        """Watch ``fds`` for ``deployment_id`` and serve its ``deadline``
+        (see :meth:`proteus.core.Platform.set_watcher`)."""
+        old = self._watched.pop(deployment_id, {})
+        for fd, (_, holder) in old.items():
+            if fd in fds and fds[fd][1] is holder:
                 continue  # still watched; its events may change below
             if self._owner.get(fd) != deployment_id:
                 continue  # closed with its holder, and the number reused since
@@ -189,17 +210,19 @@ class PlatformLoop:
                 self._epoll.unregister(fd)
             except OSError:
                 pass  # closed with its holder, which also unregistered it
-        for fd, (deployment_id, events, holder) in wanted.items():
-            old = self._watched.get(fd)
-            if old is None or old[2] is not holder:
+        for fd, (events, holder) in fds.items():
+            prev = old.get(fd)
+            if prev is None or prev[1] is not holder:
                 self._epoll.register(fd, events)
                 self._owner[fd] = deployment_id
-            elif old[1] != events:
+            elif prev[0] != events:
                 self._epoll.modify(fd, events)
-        self._watched = wanted
+        if fds:
+            self._watched[deployment_id] = fds
+        self._set_deadline(deployment_id, deadline)
 
     def stop(self) -> None:
-        if self._stop.is_set():
+        if self._stopped:
             return  # second stop (e.g. daemon stopped from a test and teardown)
         if self._thread.is_alive():
             try:
@@ -212,7 +235,7 @@ class PlatformLoop:
                 self.platform.shutdown()
             except Exception:
                 logger.exception("shutdown failed")
-        self._stop.set()
+        self._stopped = True
         self._wake_up()
         if self._thread.is_alive():
             self._thread.join(timeout=5.0)
@@ -263,7 +286,6 @@ class ControlServer:
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
         self._followers: set[_Connection] = set()  # connections that stream the trace
-        loop.after_wake = self._feed_followers
 
     def _claim_socket(self) -> None:
         if not self.socket_path.exists():
@@ -363,6 +385,8 @@ class ControlServer:
         if conn in self._connections:
             self._connections.remove(conn)
             self._followers.discard(conn)
+            if not self._followers:
+                self.loop.after_wake = None
             self.loop.unregister(conn.fd)
             conn.sock.close()
 
@@ -372,6 +396,7 @@ class ControlServer:
             if request.op == "trace" and request.args["follow"]:
                 conn.cursor = request.args["from_seq"]
                 self._followers.add(conn)
+                self.loop.after_wake = self._feed_followers
                 reply = encode_response(True, {"streaming": True})
             elif request.op == "status":  # stopped deployments' entries come encoded
                 reply = encode_status_response(
@@ -412,8 +437,6 @@ class ControlServer:
     def _feed_followers(self) -> None:
         """Queue the trace events each follower has not had, until its
         outbox holds ``RECV_SIZE`` bytes, and send them."""
-        if not self._followers:
-            return
         trace = self.loop.platform.trace
         for conn in list(self._followers):  # a failed send closes its connection
             while len(conn.outbox) < RECV_SIZE and conn.cursor < trace.next_seq:

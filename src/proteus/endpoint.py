@@ -7,8 +7,19 @@ has no thread of its own: whoever pumps the deployment (the platform
 loop in the daemon, or the embedding program through
 ``Platform.pump``) moves its bytes between the PTY master and the
 application handle of the deployment's duplex channel, with
-backpressure in both directions and no reordering.  ``watch_fd`` and
-``pump_timeout`` tell a loop when the endpoint next needs a pass.
+backpressure in both directions and no reordering.
+
+While a client is attached, the loop watches the master and a pass reads
+it straight away, with no poll first: data is data, ``EAGAIN`` is
+nothing, and ``EIO`` says the client has closed the node, which detaches
+it.  A master with no client reports hangup, not readiness, so until a
+client attaches, attachment is sampled on a timer.  :meth:`PtyEndpoint.watch`
+names the fd to watch and the deadline of the next pass no readiness
+announces; both change only with the endpoint's state.  Withdrawing
+unpublishes the node at once and takes no more input.  While an attached
+client has not read its tail the master stays open, and
+:meth:`PtyEndpoint.linger` closes it once the client has caught up or
+``DRAIN_WAIT`` has passed.
 """
 
 from __future__ import annotations
@@ -36,9 +47,10 @@ TTY_WRITE_PIECE = 2048
 # a master reports hangup, not readiness, while no client holds the
 # node open, so attachment is sampled on a timer instead of watched
 ATTACH_SAMPLE = 0.05
-# retry interval for bytes held back by a full PTY or channel
+# retry interval for bytes held back by a full PTY, and for looking
+# whether the client of a withdrawn endpoint has read its tail
 BACKLOG_POLL = 0.01
-# how long withdraw lets an attached client read the tail of the stream
+# how long a withdrawn endpoint lets an attached client read the tail
 DRAIN_WAIT = 0.25
 
 
@@ -54,7 +66,7 @@ class PtyEndpoint:
                  link_dir: Path, trace: TraceLog | None = None):
         self.deployment_id = deployment_id
         self.name = name
-        self._handle = app_handle
+        self._handle: ChannelHandle | None = app_handle  # None once withdrawn
         self._trace = trace
 
         link_dir = Path(link_dir)
@@ -88,6 +100,8 @@ class PtyEndpoint:
         self._attached = False
         self._sessions = 0
         self._sampled_at = time.monotonic()
+        self._retry_at = 0.0  # when output a full PTY held back is tried again
+        self._drain_until: float | None = None  # set once withdrawn
         self.bytes_from_app = 0
         self.bytes_to_app = 0
         self.bytes_dropped = 0
@@ -97,20 +111,28 @@ class PtyEndpoint:
     # -- client attachment ---------------------------------------------------
 
     def _sample(self) -> bool:
-        """Poll the master once to track attachment; True if it is readable."""
+        """Poll the master once to track attachment; True if it is readable.
+
+        A readable master counts as attached even once hung up: a client
+        that wrote and closed the node between two samples had a session,
+        and the read that finds its bytes gone ends it.
+        """
         if self._master < 0:
             return False
         events = self._poller.poll(0)
         flags = events[0][1] if events else 0
-        attached = not flags & select.POLLHUP
+        readable = bool(flags & select.POLLIN)
+        self._set_attached(readable or not flags & select.POLLHUP)
+        self._sampled_at = time.monotonic()
+        return readable
+
+    def _set_attached(self, attached: bool) -> None:
         if attached != self._attached:
             self._attached = attached
             if attached:
                 self._sessions += 1
             logger.debug("endpoint %s: client %s", self.name,
                          "attached" if attached else "detached")
-        self._sampled_at = time.monotonic()
-        return bool(flags & select.POLLIN)
 
     @property
     def open_count(self) -> int:
@@ -133,7 +155,7 @@ class PtyEndpoint:
         Partial acceptance on either side leaves a pending remainder and
         stops further intake, so nothing is ever dropped.
         """
-        readable = self._sample()
+        readable = self._attached or self._sample()
         return self._pump_inbound(readable), self._pump_outbound()
 
     def notify(self) -> None:
@@ -151,8 +173,11 @@ class PtyEndpoint:
             except BlockingIOError:
                 pass
             except OSError as exc:
-                if exc.errno != errno.EIO:  # EIO: client side fully closed
+                if exc.errno != errno.EIO:
                     raise
+                # the client closed the node: detached, and sampling resumes
+                self._set_attached(False)
+                self._sampled_at = time.monotonic()
         if not self._in_pending:
             return 0
         try:
@@ -174,13 +199,10 @@ class PtyEndpoint:
         moved = 0
         while True:
             if not self._out_pending:
-                try:
-                    data = self._handle.read(CHUNK)
-                except ProteusError:
-                    data = None
-                if not data:
+                handle = self._handle
+                if handle is None or not handle.readable:
                     return moved
-                self._out_pending = data
+                self._out_pending = handle.read(CHUNK)
             try:
                 n = os.write(self._master, self._out_pending)
             except BlockingIOError:
@@ -191,23 +213,23 @@ class PtyEndpoint:
             self.bytes_to_app += n
             self._out_pending = self._out_pending[n:]
             if self._out_pending:
+                self._retry_at = time.monotonic() + BACKLOG_POLL
                 return moved
 
     # -- what a loop waits on --------------------------------------------------
 
-    def watch_fd(self) -> int | None:
-        """The master while a client is attached and input can be taken."""
-        if self._attached and not self._in_pending:
-            return self._master
-        return None
-
-    def pump_timeout(self) -> float | None:
-        """Seconds until a pass is due that no readiness of the master announces."""
+    def watch(self) -> tuple[int | None, float | None]:
+        """(fd, deadline): the master while a client is attached and input
+        can be taken, and when, on ``time.monotonic``, a pass is due that
+        no readiness of the master announces.  That is the next attach
+        sample, the retry of output a full PTY held back, or the next
+        look at a withdrawn endpoint's client."""
+        if self._drain_until is not None:
+            return None, self._retry_at
         if not self._attached:
-            return max(0.0, self._sampled_at + ATTACH_SAMPLE - time.monotonic())
-        if self._out_pending:
-            return BACKLOG_POLL
-        return None
+            return None, self._sampled_at + ATTACH_SAMPLE
+        return (None if self._in_pending else self._master,
+                self._retry_at if self._out_pending else None)
 
     @property
     def holds_input(self) -> bool:
@@ -234,26 +256,40 @@ class PtyEndpoint:
         finally:
             os.close(fd)
 
-    def withdraw(self) -> None:
-        """Remove the node and link; a connected client observes hangup.
+    def withdraw(self) -> bool:
+        """Remove the link and take no more input; True while the master
+        stays open for the client to read the tail.
 
-        What the platform already queued is delivered first.  Closing
-        the master discards whatever the client has not read yet, so an
-        attached reader gets a bounded moment to catch up.
+        What the platform already queued is taken from the channel, whose
+        handle closes, and written on to the client.  Closing the master
+        discards whatever the client has not read yet, so an attached
+        client that is behind keeps it open until :meth:`linger` closes it.
         """
-        deadline = time.monotonic() + DRAIN_WAIT
-        self._pump_outbound()
-        while self._client_behind() and time.monotonic() < deadline:
-            time.sleep(0.005)
-            self._pump_outbound()
-        self._handle.close()
-        os.close(self._master)
-        self._master = -1
-        self._attached = False
         try:
             self.link_path.unlink()
         except OSError:
             pass
+        handle, self._handle = self._handle, None
+        while handle.readable:  # at most the channel's capacity
+            self._out_pending += handle.read(CHUNK)
+        handle.close()
+        self._drain_until = time.monotonic() + DRAIN_WAIT
+        return self.linger()
+
+    def linger(self) -> bool:
+        """One look at a withdrawn endpoint: write on what the client is
+        owed, and close the master once it has read everything or
+        ``DRAIN_WAIT`` has passed.  True while the master stays open; a
+        connected client observes hangup once it closes."""
+        self._pump_outbound()
+        now = time.monotonic()
+        if now < self._drain_until and self._client_behind():
+            self._retry_at = min(now + BACKLOG_POLL, self._drain_until)
+            return True
+        os.close(self._master)
+        self._master = -1
+        self._attached = False
+        return False
 
     def snapshot(self) -> dict:
         return {

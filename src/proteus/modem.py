@@ -11,7 +11,7 @@ deterministic under test.
 The modem has no thread: a TCP carrier's socket is non-blocking, and
 whoever pumps the modem moves its bytes in :meth:`Modem.carrier_pump`.
 :meth:`Modem.watch` names the socket and the epoll events to wait for,
-and :meth:`Modem.pump_timeout` the deadline no fd announces.  A TCP dial
+and :meth:`Modem.deadline` the time no fd announces.  A TCP dial
 is answered once the connect is decided; until then, and while
 ``CARRIER_CHUNK`` bytes wait for the peer, :meth:`Modem.accepts_input`
 is False and input waits upstream.  Name lookup of a host that is not
@@ -332,7 +332,8 @@ class Mode(enum.Enum):
 
 @dataclass
 class FeedResult:
-    """Output of one interpreter step."""
+    """Output of one interpreter step; ``events`` holds the detail of
+    each command line it answered, traced as ``CommandParsed``."""
 
     to_app: bytes = b""
     to_carrier: bytes = b""
@@ -429,7 +430,8 @@ class Modem:
         """
         result = FeedResult()
         if data:
-            self._check_escape(result)
+            if self._plus_count == 3:
+                self._check_escape(result)
             self._consume(data, result)
         return result
 
@@ -443,23 +445,23 @@ class Modem:
 
     def _check_escape(self, result: FeedResult) -> None:
         # three withheld '+' followed by guard silence complete the escape
-        if (self.mode is Mode.DATA and self._plus_count == 3
+        if (self.mode is Mode.DATA
                 and self.clock() - self._plus_time >= self.guard_seconds):
             self._plus_count = 0
             self.mode = Mode.COMMAND  # carrier stays up, Hayes-style
             result.to_app += frame_result(OK)
             result.events.append({
-                "kind": "CommandParsed",
                 "line": "+++",
                 "commands": ["Escape"],
                 "result": OK,
             })
 
     def _feed_command(self, data: bytes, result: FeedResult) -> None:
+        echoed = 0  # data[:echoed] is echoed, or was typed with echo off
         for i, byte in enumerate(data):
-            if self.echo:
-                result.to_app += bytes([byte])
             if byte == CR:
+                self._echo(data, echoed, i + 1, result)
+                echoed = i + 1
                 overflowed = self._line_overflow
                 line = self._line.decode("latin-1")
                 self._line.clear()
@@ -474,15 +476,21 @@ class Modem:
             else:
                 self._line.append(byte)
                 if len(self._line) > LINE_BUFFER_LIMIT:
+                    self._echo(data, echoed, i + 1, result)
+                    echoed = i + 1
                     self._line.clear()
                     self._line_overflow = True
                     result.to_app += frame_result(ERROR)
                     result.events.append({
-                        "kind": "CommandParsed",
                         "line": "",
                         "error": "line-overflow",
                         "result": ERROR,
                     })
+        self._echo(data, echoed, len(data), result)
+
+    def _echo(self, data: bytes, start: int, end: int, result: FeedResult) -> None:
+        if self.echo and start < end:
+            result.to_app += data[start:end]
 
     def _run_line(self, line: str, result: FeedResult) -> None:
         stripped = line.strip()
@@ -493,7 +501,6 @@ class Modem:
         except NotAtPrefixedError:
             result.to_app += frame_result(ERROR)
             result.events.append({
-                "kind": "CommandParsed",
                 "line": stripped,
                 "error": "not-at-prefixed",
                 "result": ERROR,
@@ -505,7 +512,6 @@ class Modem:
             if code == ERROR:
                 break
         event = {
-            "kind": "CommandParsed",
             "line": stripped,
             "commands": [type(c).__name__ for c in commands],
             "result": code,
@@ -548,15 +554,16 @@ class Modem:
     def carrier_pump(self) -> FeedResult:
         """Deliver carrier traffic and time-driven transitions.
 
-        Call when the fd :meth:`watch` names is ready, or when
-        :meth:`pump_timeout` runs out: answers a pending dial once its
+        Call when the fd :meth:`watch` names is ready, or at
+        :meth:`deadline`: answers a pending dial once its
         connect succeeds, fails or times out, completes the ``+++``
         escape once the guard silence has elapsed, sends what the peer
         takes, moves received bytes toward the application in data mode,
         and reports a lost remote as NO CARRIER.
         """
         result = FeedResult()
-        self._check_escape(result)
+        if self._plus_count == 3:
+            self._check_escape(result)
         if self._dial_event is not None:
             self._answer_dial(result)
         if self.carrier is None or self.mode is not Mode.DATA:
@@ -611,21 +618,24 @@ class Modem:
             events |= select.EPOLLOUT
         return (carrier, events) if events else None
 
-    def pump_timeout(self) -> float | None:
-        """Seconds until :meth:`carrier_pump` has work that neither input
-        nor the carrier's fd brings.
+    def deadline(self) -> float | None:
+        """When, on the modem's clock, :meth:`carrier_pump` has work that
+        neither input nor the carrier's fd brings.
 
         That is the connect timeout of a pending dial, or the end of the
         guard silence after a withheld ``+++``; None when neither is
-        pending.
+        pending.  It changes only when input or a pump changes the state.
         """
         if self._dial_event is not None:
-            deadline = self._dial_deadline
-        elif self.mode is Mode.DATA and self._plus_count == 3:
-            deadline = self._plus_time + self.guard_seconds
-        else:
-            return None
-        return max(0.0, deadline - self.clock())
+            return self._dial_deadline
+        if self.mode is Mode.DATA and self._plus_count == 3:
+            return self._plus_time + self.guard_seconds
+        return None
+
+    def pump_timeout(self) -> float | None:
+        """Seconds from now until :meth:`deadline`, or None."""
+        deadline = self.deadline()
+        return None if deadline is None else max(0.0, deadline - self.clock())
 
     def close(self) -> None:
         """Shut down any carrier (used when the deployment stops)."""

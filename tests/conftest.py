@@ -31,6 +31,9 @@ class FakeEndpoint:
     def pump_once(self):
         return 0, 0
 
+    def watch(self):
+        return None, None  # no fd to watch, no deadline
+
     def withdraw(self):
         # the real endpoint drains outbound bytes to the terminal before
         # tearing it down; keep that contract visible to tests

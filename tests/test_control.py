@@ -743,14 +743,198 @@ def test_echo_on_one_deployment_does_not_pump_the_other(two_modems):
     assert passes.count(idle) == before
 
 
+class CountingPoller:
+    """Stands in for an endpoint's ``select.poll`` and counts its polls."""
+
+    def __init__(self, poller):
+        self.poller = poller
+        self.polls = 0
+
+    def poll(self, timeout):
+        self.polls += 1
+        return self.poller.poll(timeout)
+
+
 def test_one_echoed_byte_costs_one_pump_pass(two_modems):
     d, (dep, _), (fd, _), passes = two_modems
-    d.loop.call(lambda: None)
+    endpoint = d.platform._deployments[dep].endpoint
+    poller = CountingPoller(endpoint._poller)
+    d.loop.call(lambda: setattr(endpoint, "_poller", poller))
     before = len(passes)
     os.write(fd, b"A")
     assert read_until(fd, b"A") == b"A"
     d.loop.call(lambda: None)
     assert passes[before:] == [dep]
+    assert poller.polls == 0  # the pass read the master it was woken for, unpolled
+
+
+WATCH_METHODS = ("watch", "watch_fd", "deadline", "pump_timeout")
+
+
+def test_echoes_on_one_deployment_touch_no_idle_neighbour(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for i in range(21):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+        d.platform.load_module(make_manifest(f"m{i}", config={"endpoint_name": f"modem{i}"}))
+    d.start()
+    fds = []
+    try:
+        deps = [d.loop.call(lambda i=i: d.platform.deploy(f"m{i}", f"sim{i}"))
+                for i in range(21)]
+        fds = [os.open(d.platform.deployment_info(dep)["link"],
+                       os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK) for dep in deps]
+        d.loop.call(d.platform.status)  # samples attachment: every master is watched
+        calls = []
+
+        def count_calls_of(owner):
+            for name in WATCH_METHODS:
+                method = getattr(owner, name, None)
+                if method is not None:
+                    setattr(owner, name, lambda *args, method=method, name=name:
+                            calls.append(name) or method(*args))
+
+        def instrument_the_idle_ones():
+            for dep in deps[1:]:
+                deployment = d.platform._deployments[dep]
+                count_calls_of(deployment.endpoint)
+                count_calls_of(deployment.runtime)
+
+        d.loop.call(instrument_the_idle_ones)
+        for i in range(200):  # fewer than a command line holds: each is only echoed
+            byte = bytes([0x41 + i % 26])
+            os.write(fds[0], byte)
+            assert read_until(fds[0], byte) == byte
+        d.loop.call(lambda: None)
+        assert calls == []
+    finally:
+        for fd in fds:
+            os.close(fd)
+        d.stop()
+
+
+def test_guard_and_dial_deadlines_fire_while_a_neighbour_keeps_firing(
+        monkeypatch, tmp_path):
+    def quick_modem(config, clock):
+        runtime = core.ModemRuntime(config, clock)
+        runtime.guard_seconds, runtime.connect_timeout = 0.2, 0.3
+        return runtime
+
+    monkeypatch.setitem(core.RUNTIME_BEHAVIORS, "modem", quick_modem)
+    with socket.socket() as hole, socket.socket() as queued:
+        hole.bind(("127.0.0.1", 0))
+        hole.listen(0)
+        queued.connect(hole.getsockname())  # fills the backlog: the next SYN is dropped
+        plan = tmp_path / "plan.conf"
+        plan.write_text(f"1 = tcp:127.0.0.1:{hole.getsockname()[1]}\n")
+        d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+        for i in range(2):
+            d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+            d.platform.load_module(make_manifest(
+                f"m{i}", config={"endpoint_name": f"modem{i}", "dial_plan": str(plan)}))
+        d.start()
+        stop = threading.Event()
+        streamer = None
+        fds = []
+        try:
+            deps = [d.loop.call(lambda i=i: d.platform.deploy(f"m{i}", f"sim{i}"))
+                    for i in range(2)]
+            fds = [os.open(d.platform.deployment_info(dep)["link"],
+                           os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK) for dep in deps]
+            busy, fd = fds
+            os.write(busy, b"ATE0\rATD5551234\r")
+            assert read_until(busy, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
+            streamer = threading.Thread(target=keep_streaming, args=(busy, stop))
+            streamer.start()
+            os.write(fd, b"ATE0\rATD5551234\r")
+            assert read_until(fd, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
+            time.sleep(0.3)  # the guard silence before the escape
+            os.write(fd, b"+++")
+            escaped = time.monotonic()
+            assert read_until(fd, b"\r\nOK\r\n", timeout=2.0) == b"\r\nOK\r\n"
+            assert 0.2 <= time.monotonic() - escaped < 1.0
+            os.write(fd, b"ATD1\r")
+            dialled = time.monotonic()
+            assert (read_until(fd, b"\r\nNO CARRIER\r\n", timeout=2.0)
+                    == b"\r\nNO CARRIER\r\n")
+            assert 0.3 <= time.monotonic() - dialled < 1.0
+        finally:
+            stop.set()
+            if streamer is not None:
+                streamer.join(5)
+            for fd in fds:
+                os.close(fd)
+            d.stop()
+
+
+def keep_streaming(fd, stop, streamed=None):
+    """Write to a loopback call and read it back until ``stop`` is set, so
+    the daemon's side of ``fd`` keeps firing."""
+    chunk = b"\x55" * 512
+    while not stop.is_set():
+        readable, writable, _ = select.select([fd], [fd], [], 0.05)
+        if readable:
+            got = os.read(fd, 65536)
+            if streamed is not None:
+                streamed[0] += len(got)
+        if writable:
+            try:
+                os.write(fd, chunk)
+            except BlockingIOError:
+                pass
+
+
+def test_undeploy_of_a_client_that_reads_nothing_stalls_no_one(tmp_path):
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for i in range(2):
+        d.platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+        d.platform.load_module(make_manifest(f"m{i}", config={"endpoint_name": f"modem{i}"}))
+    d.start()
+    fds = []
+    try:
+        deps = [d.loop.call(lambda i=i: d.platform.deploy(f"m{i}", f"sim{i}"))
+                for i in range(2)]
+        fds = [os.open(d.platform.deployment_info(dep)["link"],
+                       os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK) for dep in deps]
+        silent, neighbour = fds
+        d.loop.call(d.platform.status)  # samples attachment: both masters are watched
+        os.write(silent, b"AT\r")  # answered, and the answer left unread
+        endpoint = d.platform._deployments[deps[0]].endpoint
+        deadline = time.monotonic() + 5
+        while endpoint.bytes_to_app < 9 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with connect_raw(d) as raw:
+            raw.sendall(encode_request(ControlRequest(
+                "undeploy", {"deployment_id": deps[0]})))
+            sent = time.monotonic()
+            time.sleep(0.02)  # the loop is serving the undeploy
+            typed = time.monotonic()
+            os.write(neighbour, b"AT\r")
+            assert read_until(neighbour, b"\r\nOK\r\n", timeout=1.0).endswith(b"\r\nOK\r\n")
+            answered = time.monotonic() - typed
+            assert json.loads(recv_line(raw))["ok"] is True
+            replied = time.monotonic() - sent
+        # the loop did not wait for the silent client: DRAIN_WAIT is 250 ms
+        assert answered < 0.1 and replied < 0.1, (answered, replied)
+        # which still gets its unread answer, then the hangup
+        assert read_until(silent, b"\r\nOK\r\n", timeout=1.0) == b"AT\r\r\nOK\r\n"
+        assert hung_up_pty(silent, timeout=1.0)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        d.stop()
+
+
+def hung_up_pty(fd, timeout):
+    """True once reading ``fd`` reports that its master has closed."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            try:
+                if os.read(fd, 4096) == b"":
+                    return True
+            except OSError:
+                return True  # EIO: no master any more
+    return False
 
 
 def test_a_client_write_split_by_the_tty_costs_one_pump_pass(daemon, tmp_path):
@@ -793,19 +977,6 @@ def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):
     stop = threading.Event()
     streamed = [0]
 
-    def stream(fd):
-        # keep the neighbour's master firing: write and read back the loopback
-        chunk = b"\x55" * 512
-        while not stop.is_set():
-            readable, writable, _ = select.select([fd], [fd], [], 0.05)
-            if readable:
-                streamed[0] += len(os.read(fd, 65536))
-            if writable:
-                try:
-                    os.write(fd, chunk)
-                except BlockingIOError:
-                    pass
-
     streamer = None
     fd = None
     try:
@@ -815,7 +986,7 @@ def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):
                      os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
         os.write(fd, b"ATE0\rATD5551234\r")
         assert read_until(fd, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
-        streamer = threading.Thread(target=stream, args=(fd,))
+        streamer = threading.Thread(target=keep_streaming, args=(fd, stop, streamed))
         streamer.start()
         time.sleep(0.2)
         assert streamed[0] > 0
@@ -843,24 +1014,24 @@ def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):
 
 
 class BusyFdPlatform:
-    """Platform stand-in: a pass is always due soon, and its one watched
-    fd is readable on every poll."""
+    """Platform stand-in: d0's one watched fd is readable on every poll,
+    and d1 always has a pass due soon."""
 
     def __init__(self, fd):
         self.fd = fd
         self.passes = []
 
-    def pump_timeout(self):
-        return 0.02
-
-    def watch_fds(self):
-        return {self.fd: ("d0", select.EPOLLIN, self)}
+    def set_watcher(self, on_watch):
+        self.on_watch = on_watch
+        on_watch("d0", {self.fd: (select.EPOLLIN, self)}, None)
+        on_watch("d1", {}, time.monotonic() + 0.02)
 
     def pump(self, deployment_id):
         self.passes.append(deployment_id)
 
-    def pump_all(self):
-        self.passes.append("all")
+    def pump_due(self, deployment_id):
+        self.passes.append(deployment_id)
+        self.on_watch(deployment_id, {}, time.monotonic() + 0.02)
 
     def shutdown(self):
         pass
@@ -876,11 +1047,11 @@ def test_due_deadline_is_served_while_an_fd_keeps_firing():
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
             passes = list(platform.passes)
-            if "d0" in passes and "all" in passes[passes.index("d0"):]:
+            if "d0" in passes and "d1" in passes[passes.index("d0"):]:
                 break
             time.sleep(0.01)
-        # after the fd first fired, a full pass still came when due
-        assert "all" in passes[passes.index("d0"):]
+        # after the fd first fired, the due pass still came
+        assert "d1" in passes[passes.index("d0"):]
     finally:
         loop.stop()
         os.close(r)
@@ -944,13 +1115,12 @@ class SocketPlatform:
         self.sock = None
         self.passes = []
 
-    def pump_timeout(self):
-        return None
+    def set_watcher(self, on_watch):
+        self.on_watch = on_watch
 
-    def watch_fds(self):
-        if self.sock is None:
-            return {}
-        return {self.sock.fileno(): ("d0", select.EPOLLIN, self.sock)}
+    def use(self, sock):
+        self.sock = sock
+        self.on_watch("d0", {sock.fileno(): (select.EPOLLIN, sock)}, None)
 
     def pump(self, deployment_id):
         self.passes.append(deployment_id)
@@ -969,7 +1139,7 @@ def test_new_holder_of_a_closed_fd_number_is_watched():
 
     def connect():
         pairs.append(socket.socketpair())
-        platform.sock = pairs[-1][0]
+        platform.use(pairs[-1][0])
         return platform.sock.fileno()
 
     try:

@@ -13,7 +13,9 @@ import tracemalloc
 import pytest
 
 from proteus import core
+from proteus.channel import RingBuffer
 from proteus.core import DeploymentState, Platform, Policy
+from proteus.endpoint import ATTACH_SAMPLE
 from proteus.errors import (
     ConfigureFailedError,
     DeploymentNotActiveError,
@@ -777,14 +779,58 @@ def test_heap_stays_flat_over_deploy_cycles(monkeypatch, platform, sim_ham, shou
     cycles = 2000
     tracemalloc.start()
     try:
-        gc.collect()  # each channel's two handles are a cycle: count none of them
         before = tracemalloc.take_snapshot()
         for _ in range(cycles):
             cycle(platform)
-        gc.collect()
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
     assert grown / cycles < 1024, grown / cycles
     assert len(platform.status()["deployments"]) == 16
+
+
+def test_stopped_deployments_free_their_rings_without_the_cycle_collector(
+        tmp_path, sim_ham, shouter_manifest):
+    """Closing a channel handle breaks the pair's reference cycle, so a
+    stopped deployment's rings go as soon as nothing refers to them."""
+    platform = Platform(runtime_dir=tmp_path)  # real endpoints, which keep no handle
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+
+    def live_rings():
+        return sum(isinstance(o, RingBuffer) for o in gc.get_objects())
+
+    gc.disable()
+    try:
+        before = live_rings()
+        for _ in range(200):
+            cycle(platform)
+        assert live_rings() == before
+    finally:
+        gc.enable()
+        platform.shutdown()
+
+
+def test_client_that_writes_and_closes_between_passes_has_one_session(
+        tmp_path, sim_ham, shouter_manifest):
+    platform = Platform(runtime_dir=tmp_path)
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    dep = platform.deploy("shouter", "sim0")
+    endpoint = platform._deployments[dep].endpoint
+    try:
+        fd = os.open(platform.deployment_info(dep)["link"],
+                     os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+        os.write(fd, b"hello")
+        os.close(fd)  # gone before any pass saw it attached
+        for _ in range(3):
+            platform.pump(dep)
+        assert endpoint.bytes_from_app == 5  # its bytes still reached the module
+        assert endpoint.sessions == 1
+        assert endpoint.open_count == 0
+        # detached: its master is not watched, and attach sampling goes on
+        assert dep not in {owner for owner, _, _ in platform.watch_fds().values()}
+        assert 0 <= platform.pump_timeout() <= ATTACH_SAMPLE
+    finally:
+        platform.shutdown()

@@ -59,6 +59,15 @@ def endpoint_of(platform, dep):
     return platform._deployments[dep].endpoint
 
 
+def join_while_draining(platform, thread, timeout=5.0):
+    """Join ``thread`` while pumping, which closes withdrawn endpoints'
+    masters once their clients have read the tail."""
+    deadline = time.monotonic() + timeout
+    while thread.is_alive() and time.monotonic() < deadline:
+        platform.pump_all()
+        thread.join(0.01)
+
+
 # ---------------------------------------------------------------------------
 # publication
 
@@ -224,10 +233,11 @@ def test_tail_of_stream_reaches_blocked_reader_before_hangup(real_platform):
     reader.start()
     os.write(fd, b"parting shot")
     endpoint = endpoint_of(real_platform, dep)
-    # never pumped: the final pass of undeploy takes the line in, then
-    # lets the reader collect the reply before it hangs up
+    # never pumped: the final pass of undeploy takes the line in, and
+    # the reader collects the reply before the hangup, which passes
+    # after the undeploy bring once it has
     real_platform.undeploy(dep)
-    reader.join(timeout=5)
+    join_while_draining(real_platform, reader)
     assert not reader.is_alive()
     assert endpoint.bytes_from_app == 12
     assert bytes(got) == b"PARTING SHOT"
