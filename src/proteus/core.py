@@ -10,13 +10,16 @@ single thread of control (the platform loop when daemonized).
 Each active deployment waits on up to two fds (its PTY master and its
 TCP carrier) and on one absolute deadline, the earliest pass that no fd
 announces.  They are worked out at the end of the deployment's own pass,
-and on deploy and undeploy, and a watcher (the platform loop) hears of
-them only when they change; see :meth:`Platform.set_watcher`.
+and on deploy and undeploy, and the platform keeps them itself: the fds
+on its own epoll, the deadlines on a heap.  So it plugs into an event
+loop as one fd: wait until :meth:`Platform.fileno` is readable or
+:meth:`Platform.timeout` has passed, then call :meth:`Platform.serve`.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import logging
 import select
@@ -177,7 +180,7 @@ class Platform:
     ``endpoint_factory`` may be overridden for tests that do not need a
     real pseudo-terminal per deployment.  Deadlines are on
     ``time.monotonic``, which ``clock``, the modules' clock, must then be
-    for a loop to keep them.
+    for :meth:`serve` to keep them.
     """
 
     def __init__(self, runtime_dir: Path | str | None = None,
@@ -199,10 +202,16 @@ class Platform:
         self._occupant: dict[str, str] = {}  # ham_id -> active deployment_id
         self._queues: dict[str, deque[str]] = {}
         self._ids = itertools.count()
-        # deployment id -> (fds, deadline) as last reported, for each one
-        # that waits on something; see set_watcher
-        self._watching: dict[str, tuple[dict, float | None]] = {}
-        self._on_watch: Callable = lambda deployment_id, fds, deadline: None
+        # what each deployment waits on (see _rewatch): its fds, registered
+        # on _epoll, and its deadline, on the _timers heap
+        self._epoll = select.epoll()
+        # deployment id -> fd -> (epoll events, holder)
+        self._watched: dict[str, dict[int, tuple[int, object]]] = {}
+        self._owner: dict[int, str] = {}  # registered fd -> its deployment id
+        self._deadlines: dict[str, float] = {}
+        # (deadline, deployment id), earliest first; an entry that no longer
+        # matches _deadlines is stale and dropped once it comes up
+        self._timers: list[tuple[float, str]] = []
         # stopped deployments' endpoints whose client still reads the tail
         self._draining: dict[str, PtyEndpoint] = {}
 
@@ -367,11 +376,13 @@ class Platform:
                 f"deployment {deployment_id} is {deployment.state.value}, not active")
         deployment.state = DeploymentState.STOPPING
         self._pass(deployment)  # final flush
-        self._report(deployment_id, {}, None)  # while its fds are still open
+        self._watch(deployment_id, {})  # while its fds are still open
+        deadline = None
         if deployment.endpoint.withdraw():
             # the client reads the tail on its own time, not the loop's
             self._draining[deployment_id] = deployment.endpoint
-            self._report(deployment_id, {}, deployment.endpoint.watch()[1])
+            deadline = deployment.endpoint.watch()[1]
+        self._set_deadline(deployment_id, deadline)
         deployment.platform_handle.close()
         deployment.runtime.close()
         _, ham = self._hams[deployment.ham_id]
@@ -508,45 +519,61 @@ class Platform:
         for deployment_id in list(self._occupant.values()):
             p = self.pump(deployment_id)
             progressed = progressed or bool(p.bytes_in or p.bytes_out)
-        for deployment_id in list(self._draining):
-            self.pump_due(deployment_id)
+        for deployment_id, endpoint in list(self._draining.items()):
+            self._linger(deployment_id, endpoint)
         return progressed
 
-    def pump_due(self, deployment_id: str) -> None:
-        """Serve a deadline reported for ``deployment_id`` that has come:
-        a pump pass while it is active, a look at the client of its
-        withdrawn endpoint once it has stopped."""
-        endpoint = self._draining.get(deployment_id)
-        if endpoint is None:
-            self.pump(deployment_id)
-        elif endpoint.linger():
-            self._report(deployment_id, {}, endpoint.watch()[1])
+    def _linger(self, deployment_id: str, endpoint: PtyEndpoint) -> None:
+        """Look at the client of a stopped deployment's withdrawn endpoint."""
+        if endpoint.linger():
+            self._set_deadline(deployment_id, endpoint.watch()[1])
         else:
             del self._draining[deployment_id]
-            self._report(deployment_id, {}, None)
+            self._set_deadline(deployment_id, None)
 
     # -- what a loop waits on --------------------------------------------------
 
-    def set_watcher(self, on_watch: Callable[[str, dict, float | None], None]) -> None:
-        """Call ``on_watch(deployment_id, fds, deadline)`` for what each
-        deployment waits on now, and again whenever that changes.
+    def fileno(self) -> int:
+        """The platform's epoll: readable while an fd that some
+        deployment waits on is ready.  Wait until it is, or until
+        :meth:`timeout` has passed, then call :meth:`serve`."""
+        return self._epoll.fileno()
 
-        ``fds`` maps each fd whose readiness calls for a pump pass of the
-        deployment to (epoll events, holder), where the holder is the
-        object that owns the fd; once it closes, a new holder may get the
-        same number, which the watcher must register afresh.  A
-        deployment may have two: its PTY master and its TCP carrier.
-        ``deadline`` is when, on ``time.monotonic``, :meth:`pump_due` is
-        due, or None.  A deployment that stops reports no fds before
-        they close, and a deadline only while its endpoint's client still
-        reads the tail.
+    def timeout(self) -> float | None:
+        """Seconds until the earliest deadline, or None: the platform then
+        waits on :meth:`fileno` alone.  Endpoints set deadlines to look for
+        a client, retry held-back output and watch a withdrawn client read
+        its tail; the modem, for its escape guard time and connect timeout.
         """
-        self._on_watch = on_watch
-        for deployment_id, (fds, deadline) in self._watching.items():
-            on_watch(deployment_id, fds, deadline)
+        timers = self._timers
+        while timers and self._deadlines.get(timers[0][1]) != timers[0][0]:
+            heapq.heappop(timers)  # superseded
+        return max(0.0, timers[0][0] - time.monotonic()) if timers else None
+
+    def serve(self) -> None:
+        """Run one pass of each deployment whose fd is ready or whose
+        deadline has come, at most one each, through :meth:`pump`; a
+        stopped deployment whose client still reads the tail gets a look
+        at that client instead.  A due pass that leaves its deadline as
+        it was is looked at again after ``BACKLOG_POLL``, not at once."""
+        due = {self._owner[fd]: None for fd, _ in self._epoll.poll(0)}
+        timers = self._timers
+        now = time.monotonic() if timers else 0.0
+        while timers and timers[0][0] <= now:
+            deadline, deployment_id = heapq.heappop(timers)
+            if self._deadlines.get(deployment_id) == deadline:
+                due[deployment_id] = deadline
+        for deployment_id, deadline in due.items():
+            endpoint = self._draining.get(deployment_id)
+            if endpoint is None:
+                self.pump(deployment_id)
+            else:
+                self._linger(deployment_id, endpoint)
+            if deadline is not None and self._deadlines.get(deployment_id) == deadline:
+                self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
 
     def _rewatch(self, deployment: Deployment) -> None:
-        """Work out what ``deployment`` waits on; report it if that changed."""
+        """Work out what ``deployment`` waits on, and watch it."""
         endpoint, runtime = deployment.endpoint, deployment.runtime
         fd, deadline = endpoint.watch()
         fds = {} if fd is None else {fd: (select.EPOLLIN, endpoint)}
@@ -559,39 +586,42 @@ class Platform:
         due = runtime.deadline()
         if due is not None and (deadline is None or due < deadline):
             deadline = due
-        if (fds, deadline) != self._watching.get(deployment.deployment_id, ({}, None)):
-            self._report(deployment.deployment_id, fds, deadline)
+        self._watch(deployment.deployment_id, fds)
+        self._set_deadline(deployment.deployment_id, deadline)
 
-    def _report(self, deployment_id: str, fds: dict, deadline: float | None) -> None:
-        if fds or deadline is not None:
-            self._watching[deployment_id] = (fds, deadline)
+    def _watch(self, deployment_id: str, fds: dict[int, tuple[int, object]]) -> None:
+        """Keep the epoll registrations of ``deployment_id`` to ``fds``,
+        which maps each fd to (epoll events, holder), the object that
+        owns it.  Once a holder closes, a new one may get the same
+        number, which is registered afresh."""
+        old = self._watched.get(deployment_id, {})
+        if fds == old:
+            return
+        for fd, (_, holder) in old.items():
+            if fd not in fds or fds[fd][1] is not holder:
+                del self._owner[fd]
+                try:
+                    self._epoll.unregister(fd)
+                except OSError:
+                    pass  # closed with its holder, which took it off the epoll
+        for fd, (events, holder) in fds.items():
+            prev = old.get(fd)
+            if prev is None or prev[1] is not holder:
+                self._epoll.register(fd, events)
+                self._owner[fd] = deployment_id
+            elif prev[0] != events:
+                self._epoll.modify(fd, events)
+        if fds:
+            self._watched[deployment_id] = fds
         else:
-            self._watching.pop(deployment_id, None)
-        self._on_watch(deployment_id, fds, deadline)
+            del self._watched[deployment_id]
 
-    def watch_fds(self) -> dict[int, tuple[str, int, object]]:
-        """fd -> (deployment_id, epoll events, holder) for each fd whose
-        readiness calls for a pump pass of that deployment, as last
-        reported (see :meth:`set_watcher`)."""
-        return {fd: (deployment_id, events, holder)
-                for deployment_id, (fds, _) in self._watching.items()
-                for fd, (events, holder) in fds.items()}
-
-    def pump_timeout(self) -> float | None:
-        """Seconds until the earliest reported deadline, or None.
-
-        None means none is due: the platform waits on I/O alone.  A
-        deadline comes from an endpoint looking for a client, retrying
-        output a full PTY held back or waiting for a withdrawn client to
-        read its tail, or from the modem's escape guard time or connect
-        timeout.  Each is absolute and reported when it changes (see
-        :meth:`set_watcher`); only this answer counts from now.
-        """
-        deadlines = [deadline for _, deadline in self._watching.values()
-                     if deadline is not None]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - time.monotonic())
+    def _set_deadline(self, deployment_id: str, deadline: float | None) -> None:
+        if deadline is None:
+            self._deadlines.pop(deployment_id, None)
+        elif self._deadlines.get(deployment_id) != deadline:
+            self._deadlines[deployment_id] = deadline
+            heapq.heappush(self._timers, (deadline, deployment_id))
 
     # -- introspection -------------------------------------------------------
 
@@ -652,12 +682,15 @@ class Platform:
         }
 
     def shutdown(self) -> None:
-        """Undeploy everything that is still active, and wait, within
-        each endpoint's ``DRAIN_WAIT``, for clients to read their tails."""
+        """Undeploy everything that is still active, wait, within each
+        endpoint's ``DRAIN_WAIT``, for clients to read their tails, and
+        close the epoll.  This is final: the platform cannot be served
+        or deploy again."""
         # undeploying can activate a queued deployment, which goes too
         while self._occupant:
             self.undeploy(next(iter(self._occupant.values())))
         while self._draining:
             time.sleep(BACKLOG_POLL)
-            for deployment_id in list(self._draining):
-                self.pump_due(deployment_id)
+            for deployment_id, endpoint in list(self._draining.items()):
+                self._linger(deployment_id, endpoint)
+        self._epoll.close()

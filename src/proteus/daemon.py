@@ -1,22 +1,17 @@
 """Platform daemon: the single event loop plus the control socket server.
 
 All platform work runs on one loop thread: the control requests, the
-trace streams, and the pump passes that move every deployment's bytes
-between its PTY, its module and its TCP carrier.  The daemon has no
-other thread, whatever it serves.  The loop blocks in one epoll on a
-wake eventfd, the PTY master of every attached endpoint, the socket of
-every TCP carrier, the control listener and every control connection,
-with a timeout only while some deployment has a deadline: a pass due
-that no fd announces.  The platform tells the loop a deployment's fds
-and absolute deadline when they change (see
-:meth:`proteus.core.Platform.set_watcher`), and the loop keeps its epoll
-registrations and a heap of deadlines in step; a wake-up that changes
-neither touches neither.  Each wake-up serves the control connections
-that are ready, pumps the deployments whose fd fired, and serves the
-deadlines that have come, so a busy neighbour cannot hold back a pass
-that is due; after :meth:`PlatformLoop.kick` it pumps every active
-deployment once.  Last, it tops up each trace follower's output from the
-trace log.  A control request reaches the platform through
+trace streams, and the passes that move every deployment's bytes.  The
+daemon has no other thread, whatever it serves.  The loop blocks in one
+epoll on a wake eventfd, the control listener, every control connection
+and the platform's own epoll fd, for no longer than the platform's
+timeout (see :meth:`proteus.core.Platform.serve`).  Each wake-up first
+serves the control connections that are ready and the calls handed to
+the loop, so a control request runs before any pass; after
+:meth:`PlatformLoop.kick` it pumps every active deployment once.  Then,
+if the platform's fd fired or its timeout has passed, the platform
+serves what is due.  Last, the loop tops up each trace follower's output
+from the trace log.  A control request reaches the platform through
 :meth:`PlatformLoop.call`, which runs in place on the loop thread; other
 threads (tests, embedders) still hand their calls to the loop.
 """
@@ -24,29 +19,24 @@ threads (tests, embedders) still hand their calls to the loop.
 from __future__ import annotations
 
 import functools
-import heapq
 import json
 import logging
 import os
 import select
 import socket
 import threading
-import time
 from collections import deque
 from pathlib import Path
 from typing import Callable
 
 from .control import encode_response, encode_status_response, parse_request
 from .core import Platform, Policy
-from .endpoint import BACKLOG_POLL
 from .errors import (
     AlreadyRunningError,
-    DeploymentNotActiveError,
     ProteusError,
     ProtocolError,
     RequestTooLongError,
     TooManyClientsError,
-    UnknownDeploymentError,
 )
 from .paths import default_socket_path
 
@@ -76,20 +66,15 @@ class PlatformLoop:
         self._wake_lock = threading.Lock()  # no write once stop closed it
         self._epoll = select.epoll()
         self._epoll.register(self._wake, select.EPOLLIN)
-        # registered fd -> the deployment it pumps, or the handler it calls;
-        # a closed fd whose number was reused belongs to its new owner
-        self._owner: dict[int, object] = {}
-        self._watched: dict[str, dict] = {}  # deployment id -> its fds, as reported
-        self._deadlines: dict[str, float] = {}  # deployment id -> its deadline
-        # (deadline, deployment id), earliest first; an entry that no longer
-        # matches _deadlines is stale and dropped once it comes up
-        self._timers: list[tuple[float, str]] = []
+        self._epoll.register(platform.fileno(), select.EPOLLIN)
+        # registered fd -> the handler it calls; a closed fd whose number
+        # was reused belongs to its new handler
+        self._owner: dict[int, Callable[[], None]] = {}
         # called, if set, on the loop thread after each wake-up's pumps
         self.after_wake: Callable[[], None] | None = None
         self._stopped = False
         self._thread = threading.Thread(target=self._run, name="platform-loop",
                                         daemon=True)
-        platform.set_watcher(self._rewatch)
 
     def start(self) -> None:
         self._thread.start()
@@ -143,21 +128,18 @@ class PlatformLoop:
 
     def _run(self) -> None:
         platform = self.platform
-        timers = self._timers
-        while not self._stopped:
-            while timers and self._deadlines.get(timers[0][1]) != timers[0][0]:
-                heapq.heappop(timers)  # superseded
-            events = self._epoll.poll(
-                max(0.0, timers[0][0] - time.monotonic()) if timers else -1)
-            passes = {}  # deployment -> its deadline that has come, or None; in order
-            for fd, _ in events:
-                owner = self._owner.get(fd)
-                if fd == self._wake:
+        served = platform.fileno()
+        while True:
+            ready = False
+            for fd, _ in self._epoll.poll(platform.timeout()):  # None: no deadline
+                if fd == served:
+                    ready = True
+                elif fd == self._wake:
                     os.eventfd_read(self._wake)
-                elif isinstance(owner, str):
-                    passes[owner] = None
-                elif owner is not None:  # None: unregistered by a handler above
-                    owner()
+                else:
+                    handler = self._owner.get(fd)
+                    if handler is not None:  # None: unregistered by a handler above
+                        handler()
             while self._calls:
                 call = self._calls.popleft()
                 try:
@@ -166,75 +148,30 @@ class PlatformLoop:
                     call.error = exc
                 finally:
                     call.done.set()
+            if self._stopped:
+                return  # the platform has shut down, which closed its epoll
             if self._kicked:
                 self._kicked = False  # a kick that came in since is served by this pass
                 platform.pump_all()
-                passes.clear()
-            now = time.monotonic() if timers else 0.0
-            while timers and timers[0][0] <= now:
-                deadline, deployment_id = heapq.heappop(timers)
-                if self._deadlines.get(deployment_id) == deadline:
-                    passes[deployment_id] = deadline
-            for deployment_id, deadline in passes.items():
-                try:
-                    if deadline is None:
-                        platform.pump(deployment_id)
-                    else:
-                        platform.pump_due(deployment_id)
-                except (DeploymentNotActiveError, UnknownDeploymentError):
-                    pass  # a call above undeployed it, or so many that it is forgotten
-                if deadline is not None and self._deadlines.get(deployment_id) == deadline:
-                    # its pass left the deadline as it was: look again shortly, not at once
-                    self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
+            if ready or platform.timeout() == 0.0:
+                platform.serve()
             if self.after_wake is not None:
                 self.after_wake()
 
-    def _set_deadline(self, deployment_id: str, deadline: float | None) -> None:
-        if deadline is None:
-            self._deadlines.pop(deployment_id, None)
-        elif self._deadlines.get(deployment_id) != deadline:
-            self._deadlines[deployment_id] = deadline
-            heapq.heappush(self._timers, (deadline, deployment_id))
-
-    def _rewatch(self, deployment_id: str, fds: dict, deadline: float | None) -> None:
-        """Watch ``fds`` for ``deployment_id`` and serve its ``deadline``
-        (see :meth:`proteus.core.Platform.set_watcher`)."""
-        old = self._watched.pop(deployment_id, {})
-        for fd, (_, holder) in old.items():
-            if fd in fds and fds[fd][1] is holder:
-                continue  # still watched; its events may change below
-            if self._owner.get(fd) != deployment_id:
-                continue  # closed with its holder, and the number reused since
-            del self._owner[fd]
-            try:
-                self._epoll.unregister(fd)
-            except OSError:
-                pass  # closed with its holder, which also unregistered it
-        for fd, (events, holder) in fds.items():
-            prev = old.get(fd)
-            if prev is None or prev[1] is not holder:
-                self._epoll.register(fd, events)
-                self._owner[fd] = deployment_id
-            elif prev[0] != events:
-                self._epoll.modify(fd, events)
-        if fds:
-            self._watched[deployment_id] = fds
-        self._set_deadline(deployment_id, deadline)
+    def _shutdown(self) -> None:
+        self._stopped = True  # first: the loop serves no shut-down platform
+        self.platform.shutdown()
 
     def stop(self) -> None:
         if self._stopped:
             return  # second stop (e.g. daemon stopped from a test and teardown)
-        if self._thread.is_alive():
-            try:
-                self.call(self.platform.shutdown, timeout=10.0)
-            except Exception:
-                logger.exception("shutdown on loop failed")
-        else:
-            # the loop never ran; nothing contends for the platform
-            try:
-                self.platform.shutdown()
-            except Exception:
-                logger.exception("shutdown failed")
+        try:
+            if self._thread.is_alive():
+                self.call(self._shutdown, timeout=10.0)
+            else:
+                self._shutdown()  # the loop never ran; nothing contends for the platform
+        except Exception:
+            logger.exception("shutdown failed")
         self._stopped = True
         self._wake_up()
         if self._thread.is_alive():

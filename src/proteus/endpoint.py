@@ -9,8 +9,8 @@ loop in the daemon, or the embedding program through
 application handle of the deployment's duplex channel, with
 backpressure in both directions and no reordering.
 
-While a client is attached, the loop watches the master and a pass reads
-it straight away, with no poll first: data is data, ``EAGAIN`` is
+While a client is attached, the platform watches the master and a pass
+reads it straight away, with no poll first: data is data, ``EAGAIN`` is
 nothing, and ``EIO`` says the client has closed the node, which detaches
 it.  A master with no client reports hangup, not readiness, so until a
 client attaches, attachment is sampled on a timer.  :meth:`PtyEndpoint.watch`

@@ -195,8 +195,14 @@ def _parse_target(text: str) -> DialTarget:
     if text.startswith("tcp:"):
         hostport = text[4:]
         host, sep, port = hostport.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise MalformedDialPlanError(f"expected tcp:<host>:<port>, got {text!r}")
+        if (not sep or not host or not (port.isascii() and port.isdigit())
+                or not 1 <= int(port) <= 65535):
+            raise MalformedDialPlanError(
+                f"expected tcp:<host>:<port> with a port in 1-65535, got {text!r}")
+        try:
+            host.encode("idna")  # what name lookup does first
+        except UnicodeError as exc:
+            raise MalformedDialPlanError(f"bad host in {text!r}: {exc}") from exc
         return TcpTarget(host, int(port))
     raise MalformedDialPlanError(f"unknown dial target {text!r}")
 
@@ -405,7 +411,7 @@ class Modem:
         try:
             self.carrier = (LoopbackCarrier() if isinstance(target, LoopbackTarget)
                             else TcpCarrier(target.host, target.port))
-        except OSError:
+        except (OSError, UnicodeError):  # UnicodeError: a host name lookup cannot encode
             return NO_CARRIER
         self._dial_deadline = self.clock() + self.connect_timeout
         return None
@@ -631,11 +637,6 @@ class Modem:
         if self.mode is Mode.DATA and self._plus_count == 3:
             return self._plus_time + self.guard_seconds
         return None
-
-    def pump_timeout(self) -> float | None:
-        """Seconds from now until :meth:`deadline`, or None."""
-        deadline = self.deadline()
-        return None if deadline is None else max(0.0, deadline - self.clock())
 
     def close(self) -> None:
         """Shut down any carrier (used when the deployment stops)."""

@@ -66,6 +66,12 @@ class FakeEndpointFactory:
         return endpoint
 
 
+def epoll_fds(platform):
+    """The fds on the platform's epoll, as the kernel lists them."""
+    with open(f"/proc/self/fdinfo/{platform.fileno()}") as fh:
+        return {int(line.split()[1]) for line in fh if line.startswith("tfd:")}
+
+
 @pytest.fixture
 def endpoint_factory():
     return FakeEndpointFactory()

@@ -31,7 +31,7 @@ from proteus.control import (
     parse_request,
 )
 from proteus.core import Platform, Policy
-from proteus.daemon import MAX_CLIENTS, MAX_LINE, Daemon, PlatformLoop
+from proteus.daemon import MAX_CLIENTS, MAX_LINE, Daemon
 from proteus.errors import (
     AlreadyRunningError,
     ProteusError,
@@ -40,9 +40,9 @@ from proteus.errors import (
 )
 from proteus.ham import SimulatedFpga
 from proteus.manifest import Implementation, ModuleManifest
-from proteus.modem import GUARD_SECONDS
+from proteus.modem import GUARD_SECONDS, DialPlan, Mode, Modem, TcpTarget
 
-from conftest import FakeEndpointFactory, make_manifest
+from conftest import FakeEndpointFactory, epoll_fds, make_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ def test_peer_that_stops_reading_stalls_only_its_own_client(tmp_path):
             else:
                 pytest.fail("the client's writes never blocked")
             # only the carrier's room for more announces the next pass: no timer runs
-            assert d.loop.call(d.platform.pump_timeout) is None
+            assert d.loop.call(d.platform.timeout) is None
             assert_neighbour_answers(d, shout_fd)
             received = bytearray()
             remote.settimeout(5)
@@ -609,6 +609,35 @@ def test_black_holed_and_refused_dials_do_not_delay_a_neighbour(tmp_path):
             assert_neighbour_answers(d, shout_fd)
 
 
+def test_dial_plan_host_that_name_lookup_cannot_encode_stops_no_one(monkeypatch, tmp_path):
+    plan = tmp_path / "plan.conf"
+    plan.write_text("1 = tcp:x..y:80\n")
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    d.platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    d.platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+    d.start()
+    fd = None
+    try:
+        with ControlClient(d.server.socket_path, timeout=2.0) as c:
+            with pytest.raises(RemoteError) as refused:
+                c.request("deploy", module_id="modem", ham_id="sim0")
+            assert refused.value.code == "malformed-dial-plan"
+            # a plan built in code is not parsed: dialling its host must not
+            # take the loop down
+            unchecked = DialPlan(entries={"1": TcpTarget("x..y", 80)})
+            monkeypatch.setitem(core.RUNTIME_BEHAVIORS, "modem",
+                                lambda config, clock: Modem(dial_plan=unchecked, clock=clock))
+            dep = c.request("deploy", module_id="modem", ham_id="sim0")
+            fd = os.open(dep["link"], os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+            os.write(fd, b"ATE0\rATD1\r")
+            assert read_until(fd, b"\r\nNO CARRIER\r\n").endswith(b"\r\nNO CARRIER\r\n")
+            assert "hams" in c.request("status")["status"]
+    finally:
+        if fd is not None:
+            os.close(fd)
+        d.stop()
+
+
 def test_carrier_and_follower_add_no_thread_and_no_timed_wake_up(tmp_path):
     with (socket.create_server(("127.0.0.1", 0)) as server,
           bridge_beside_shouter(tmp_path, f"42 = tcp:127.0.0.1:{server.getsockname()[1]}")
@@ -627,7 +656,7 @@ def test_carrier_and_follower_add_no_thread_and_no_timed_wake_up(tmp_path):
                                        "commands": ["Dial"], "result": "CONNECT"}
                 assert threading.active_count() == threads
                 # connected and silent: only the socket wakes the loop for it
-                assert d.loop.call(d.platform.pump_timeout) is None
+                assert d.loop.call(d.platform.timeout) is None
         finally:
             follower.close()
 
@@ -768,7 +797,7 @@ def test_one_echoed_byte_costs_one_pump_pass(two_modems):
     assert poller.polls == 0  # the pass read the master it was woken for, unpolled
 
 
-WATCH_METHODS = ("watch", "watch_fd", "deadline", "pump_timeout")
+WATCH_METHODS = ("watch", "watch_fd", "deadline")
 
 
 def test_echoes_on_one_deployment_touch_no_idle_neighbour(tmp_path):
@@ -1013,49 +1042,145 @@ def test_due_attach_sample_is_not_starved_by_a_streaming_neighbour(tmp_path):
         d.stop()
 
 
-class BusyFdPlatform:
-    """Platform stand-in: d0's one watched fd is readable on every poll,
-    and d1 always has a pass due soon."""
-
-    def __init__(self, fd):
-        self.fd = fd
-        self.passes = []
-
-    def set_watcher(self, on_watch):
-        self.on_watch = on_watch
-        on_watch("d0", {self.fd: (select.EPOLLIN, self)}, None)
-        on_watch("d1", {}, time.monotonic() + 0.02)
-
-    def pump(self, deployment_id):
-        self.passes.append(deployment_id)
-
-    def pump_due(self, deployment_id):
-        self.passes.append(deployment_id)
-        self.on_watch(deployment_id, {}, time.monotonic() + 0.02)
-
-    def shutdown(self):
-        pass
+def read_available(fd):
+    """What ``fd`` holds now, without waiting."""
+    got = bytearray()
+    while select.select([fd], [], [], 0)[0]:
+        try:
+            chunk = os.read(fd, 4096)
+        except OSError:
+            break  # EIO: the master has closed
+        if not chunk:
+            break
+        got += chunk
+    return bytes(got)
 
 
-def test_due_deadline_is_served_while_an_fd_keeps_firing():
-    r, w = os.pipe()
-    os.write(w, b"x")  # never read: the fd fires on every poll
-    platform = BusyFdPlatform(r)
-    loop = PlatformLoop(platform)
-    loop.start()
+def serve_until(platform, done, timeout=2.0):
+    """Serve as a loop would: wait on the platform's fd, no longer than
+    its timeout, then serve; until ``done()`` or ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not done() and time.monotonic() < deadline:
+        wait = platform.timeout()
+        wait = deadline - time.monotonic() if wait is None else wait
+        select.select([platform.fileno()], [], [], max(0.0, min(wait, 0.1)))
+        platform.serve()
+    return done()
+
+
+def open_client(platform, dep):
+    return os.open(platform.deployment_info(dep)["link"],
+                   os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+
+
+def test_due_deadline_is_served_while_an_fd_keeps_firing(tmp_path):
+    # the streaming shouter's master is ready on every serve; the fresh
+    # client is found only by its own deployment's attach-sample deadline
+    platform = Platform(runtime_dir=tmp_path)
+    for i in range(2):
+        platform.register_ham(SimulatedFpga(f"sim{i}", "sim-fpga-v1"))
+    platform.load_module(make_manifest("shouter", "identity", "upper"))
+    busy, fresh = (platform.deploy("shouter", f"sim{i}") for i in range(2))
+    fds = []
     try:
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline:
-            passes = list(platform.passes)
-            if "d0" in passes and "d1" in passes[passes.index("d0"):]:
-                break
-            time.sleep(0.01)
-        # after the fd first fired, the due pass still came
-        assert "d1" in passes[passes.index("d0"):]
+        fds = [open_client(platform, dep) for dep in (busy, fresh)]
+        streaming, client = fds
+        platform.pump(busy)  # samples attachment: its master is watched
+        os.write(client, b"hello")
+        got = b""
+        echoed = 0
+        started = time.monotonic()
+        while b"HELLO" not in got and time.monotonic() - started < 2.0:
+            os.write(streaming, b"x" * 64)
+            assert select.select([platform.fileno()], [], [], 1.0)[0]
+            platform.serve()
+            echoed += len(read_available(streaming))
+            got += read_available(client)
+        assert got == b"HELLO"
+        assert echoed > 0  # the neighbour was served all along
     finally:
-        loop.stop()
-        os.close(r)
-        os.close(w)
+        for fd in fds:
+            os.close(fd)
+        platform.shutdown()
+
+
+def test_new_holder_of_a_closed_fd_number_is_watched(monkeypatch, tmp_path):
+    # a dial that times out and the dial typed behind it: one pass closes
+    # the first carrier and opens the second, which gets the same fd number
+    def quick_modem(config, clock):
+        runtime = core.ModemRuntime(config, clock)
+        runtime.connect_timeout = 0.1
+        return runtime
+
+    monkeypatch.setitem(core.RUNTIME_BEHAVIORS, "modem", quick_modem)
+    with (socket.socket() as hole, socket.socket() as queued,
+          socket.create_server(("127.0.0.1", 0)) as server):
+        hole.bind(("127.0.0.1", 0))
+        hole.listen(0)
+        queued.connect(hole.getsockname())  # fills the backlog: the next SYN is dropped
+        plan = tmp_path / "plan.conf"
+        plan.write_text(f"1 = tcp:127.0.0.1:{hole.getsockname()[1]}\n"
+                        f"2 = tcp:127.0.0.1:{server.getsockname()[1]}\n")
+        platform = Platform(runtime_dir=tmp_path)
+        platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+        platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+        dep = platform.deploy("modem", "sim0")
+        modem = platform._deployments[dep].runtime
+        client = open_client(platform, dep)
+        try:
+            os.write(client, b"ATE0\rATD1\rATD2\r")
+            platform.pump(dep)  # attaches and dials 1; dialling 2 waits for its outcome
+            first = modem.carrier
+            number = first.fileno()
+            assert number in epoll_fds(platform)
+            assert serve_until(platform, lambda: modem.carrier is not first)
+            assert modem.carrier.fileno() == number  # Linux hands out the lowest free fd
+            assert number in epoll_fds(platform)  # registered afresh for its new holder
+            remote, _ = server.accept()
+            with remote:
+                remote.sendall(b"hi")  # only the new carrier's readiness announces it
+                got = bytearray()
+
+                def delivered():
+                    got.extend(read_available(client))
+                    return got.endswith(b"hi")
+
+                assert serve_until(platform, delivered), bytes(got)
+            assert bytes(got) == b"ATE0\r\r\nOK\r\n\r\nNO CARRIER\r\n\r\nCONNECT\r\nhi"
+        finally:
+            os.close(client)
+            platform.shutdown()
+
+
+def test_undeployed_deployment_leaves_no_fd_on_the_platform_epoll(tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        plan = tmp_path / "plan.conf"
+        plan.write_text(f"1 = tcp:127.0.0.1:{server.getsockname()[1]}\n")
+        platform = Platform(runtime_dir=tmp_path)
+        platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+        platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+        dep = platform.deploy("modem", "sim0")
+        deployment = platform._deployments[dep]
+        client = open_client(platform, dep)
+        try:
+            os.write(client, b"ATD1\r")
+            platform.pump(dep)
+            assert serve_until(platform, lambda: deployment.runtime.mode is Mode.DATA)
+            master, carrier = deployment.endpoint._master, deployment.runtime.carrier.fileno()
+            assert epoll_fds(platform) == {master, carrier}
+            # the client has not read CONNECT, so its master stays open a while
+            platform.undeploy(dep)
+            assert platform._draining  # the master lingers for the client
+            assert epoll_fds(platform) == set()
+            platform.serve()
+            assert read_until(client, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
+            assert serve_until(platform, lambda: not platform._draining)
+            assert hung_up_pty(client, timeout=1.0)
+            assert epoll_fds(platform) == set()
+            assert platform.timeout() is None
+        finally:
+            os.close(client)
+            platform.shutdown()
 
 
 def test_stop_is_prompt_and_leaves_no_thread_fd_or_socket(tmp_path):
@@ -1084,8 +1209,7 @@ def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
         client = os.open(d.platform.deployment_info(dep)["link"],
                          os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
         d.loop.call(d.platform.status)  # samples attachment: the master is watched
-        master, = (fd for fd, (owner, _, _) in d.loop.call(d.platform.watch_fds).items()
-                   if owner == dep)
+        master, = d.loop.call(lambda: epoll_fds(d.platform))
         fired = threading.Event()
 
         def undeploy_then_reuse_the_master_fd():
@@ -1105,66 +1229,6 @@ def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
         if client is not None:
             os.close(client)
         d.stop()
-
-
-class SocketPlatform:
-    """Platform stand-in whose deployment d0 is pumped when its socket
-    has bytes to read."""
-
-    def __init__(self):
-        self.sock = None
-        self.passes = []
-
-    def set_watcher(self, on_watch):
-        self.on_watch = on_watch
-
-    def use(self, sock):
-        self.sock = sock
-        self.on_watch("d0", {sock.fileno(): (select.EPOLLIN, sock)}, None)
-
-    def pump(self, deployment_id):
-        self.passes.append(deployment_id)
-        self.sock.recv(64)
-
-    def shutdown(self):
-        pass
-
-
-def test_new_holder_of_a_closed_fd_number_is_watched():
-    # a carrier can close and a new one get the same number in one wake-up
-    platform = SocketPlatform()
-    loop = PlatformLoop(platform)
-    loop.start()
-    pairs = []
-
-    def connect():
-        pairs.append(socket.socketpair())
-        platform.use(pairs[-1][0])
-        return platform.sock.fileno()
-
-    try:
-        first = loop.call(connect)
-        pairs[0][1].send(b"x")
-        deadline = time.monotonic() + 5
-        while not platform.passes and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert platform.passes == ["d0"]
-
-        def reconnect():
-            platform.sock.close()  # which also drops it from epoll
-            return connect()
-
-        assert loop.call(reconnect) == first
-        pairs[1][1].send(b"y")
-        deadline = time.monotonic() + 1
-        while len(platform.passes) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert platform.passes == ["d0", "d0"]
-    finally:
-        loop.stop()
-        for pair in pairs:
-            for sock in pair:
-                sock.close()
 
 
 # ---------------------------------------------------------------------------

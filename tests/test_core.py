@@ -32,7 +32,7 @@ from proteus.errors import (
 from proteus.ham import HamDescriptor, SimulatedFpga
 from proteus.manifest import Implementation, ModuleManifest
 
-from conftest import FakeEndpoint, make_manifest
+from conftest import FakeEndpoint, epoll_fds, make_manifest
 
 
 def kinds(platform):
@@ -830,7 +830,7 @@ def test_client_that_writes_and_closes_between_passes_has_one_session(
         assert endpoint.sessions == 1
         assert endpoint.open_count == 0
         # detached: its master is not watched, and attach sampling goes on
-        assert dep not in {owner for owner, _, _ in platform.watch_fds().values()}
-        assert 0 <= platform.pump_timeout() <= ATTACH_SAMPLE
+        assert epoll_fds(platform) == set()
+        assert 0 <= platform.timeout() <= ATTACH_SAMPLE
     finally:
         platform.shutdown()

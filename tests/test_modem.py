@@ -311,18 +311,18 @@ def test_escape_requires_silence_on_both_sides():
     clock = FakeClock()
     modem = fresh_modem(clock=clock)
     modem.feed(b"ATD5551234\r")
-    assert modem.pump_timeout() is None  # loopback needs no polling
+    assert modem.deadline() is None  # loopback needs no polling
     clock.advance(1.0)
     modem.feed(b"+++")
     assert modem.feed(b"").to_carrier == b""
     clock.advance(0.5)
     assert modem.carrier_pump().to_app == b""  # guard not yet satisfied
     assert modem.mode is Mode.DATA
-    assert modem.pump_timeout() == pytest.approx(0.5)  # when to look again
+    assert modem.deadline() == pytest.approx(clock() + 0.5)  # when to look again
     clock.advance(0.5)
     assert responses(modem.carrier_pump().to_app) == [OK]
     assert modem.mode is Mode.COMMAND
-    assert modem.pump_timeout() is None
+    assert modem.deadline() is None
 
 
 def test_escape_completes_via_feed_as_well():
@@ -436,6 +436,9 @@ def test_default_plan_loops_back_everything():
     "5551234 = warp:mars",           # unknown target
     "5551234 = tcp:nohost",          # missing port
     "5551234 = tcp:h:notaport",      # non-numeric port
+    "1 = tcp:127.0.0.1:99999",       # port out of range
+    "1 = tcp:127.0.0.1:0",           # port out of range
+    "1 = tcp:x..y:80",               # host name lookup cannot encode
     "1 = loopback\n1 = none",        # duplicate entry
 ])
 def test_malformed_dial_plans_rejected(doc):
@@ -502,7 +505,7 @@ def test_tcp_carrier_bridges_both_directions(echo_server):
     got = _pump_until(modem, responses, modem.feed(b"ATD42\r").to_app)
     assert responses(got) == [CONNECT]
     # connected and idle: only the socket's readiness calls for a pump
-    assert modem.pump_timeout() is None
+    assert modem.deadline() is None
     modem.feed(b"marco")
     got = _pump_until(modem, lambda buf: b"marco" in buf)
     assert got == b"marco"
@@ -555,7 +558,7 @@ def test_input_after_a_tcp_dial_waits_for_its_outcome():
             assert not modem.accepts_input()
             clock.advance(modem.connect_timeout - 0.01)
             assert modem.carrier_pump().to_app == b""
-            assert modem.pump_timeout() == pytest.approx(0.01)
+            assert modem.deadline() == pytest.approx(clock() + 0.01)
             clock.advance(0.01)
             answered = modem.carrier_pump()
             # the dial line is traced once, with its outcome; then the
