@@ -34,8 +34,9 @@ class RingBuffer:
     monotonic read/write counters.
 
     Capacity must be a power of two so positions wrap with a mask and a
-    full buffer is always distinguishable from an empty one.  Only the
-    producer calls :meth:`write` and only the consumer :meth:`read`.
+    full buffer is always distinguishable from an empty one.  The ring
+    is storage and positions only: the :class:`ChannelHandle` that
+    writes it is its one producer, the one that reads it its consumer.
     """
 
     __slots__ = ("capacity", "_mask", "_storage", "read_pos", "write_pos")
@@ -50,34 +51,6 @@ class RingBuffer:
         self._storage = bytearray(capacity)
         self.read_pos = 0
         self.write_pos = 0
-
-    def write(self, data: bytes) -> int:
-        """Enqueue up to the free space, returning the byte count accepted."""
-        write_pos = self.write_pos
-        n = min(len(data), self.capacity - (write_pos - self.read_pos))
-        if n <= 0:
-            return 0
-        start = write_pos & self._mask
-        first = min(n, self.capacity - start)
-        self._storage[start:start + first] = data[:first]
-        if first < n:
-            self._storage[0:n - first] = data[first:n]
-        self.write_pos = write_pos + n  # publish only once the bytes are in
-        return n
-
-    def read(self, max_bytes: int) -> bytes:
-        """Dequeue up to ``max_bytes`` in FIFO order (empty when drained)."""
-        read_pos = self.read_pos
-        n = min(max_bytes, self.write_pos - read_pos)
-        if n <= 0:
-            return b""
-        start = read_pos & self._mask
-        first = min(n, self.capacity - start)
-        out = bytes(self._storage[start:start + first])
-        if first < n:
-            out += bytes(self._storage[0:n - first])
-        self.read_pos = read_pos + n  # free the space only once it is copied
-        return out
 
     @property
     def readable(self) -> int:
@@ -150,7 +123,23 @@ class ChannelHandle:
             raise ClosedHandleError(f"{self.side.value} handle is closed")
         if not self._peer._open:
             raise PeerDisconnectedError(f"{self.side.peer.value} handle has disconnected")
-        return self._outbound.write(data)
+        ring = self._outbound
+        write_pos = ring.write_pos
+        n = ring.capacity - (write_pos - ring.read_pos)  # free space
+        if len(data) < n:
+            n = len(data)
+        if n <= 0:
+            return 0
+        start = write_pos & ring._mask
+        end = start + n
+        if end <= ring.capacity:
+            ring._storage[start:end] = data if n == len(data) else data[:n]
+        else:  # wraps past the physical end
+            first = ring.capacity - start
+            ring._storage[start:] = data[:first]
+            ring._storage[:end - ring.capacity] = data[first:n]
+        ring.write_pos = write_pos + n  # publish only once the bytes are in
+        return n
 
     def read(self, max_bytes: int) -> bytes | None:
         """Dequeue up to ``max_bytes`` from the inbound buffer.
@@ -163,9 +152,20 @@ class ChannelHandle:
         # looked at before draining: a peer that writes and then closes
         # between the two steps must not hide its last bytes
         peer_open = self._peer._open
-        data = self._inbound.read(max_bytes)
-        if not data and not peer_open:
-            return None
+        ring = self._inbound
+        read_pos = ring.read_pos
+        n = ring.write_pos - read_pos
+        if n > max_bytes:
+            n = max_bytes
+        if n <= 0:
+            return b"" if peer_open else None
+        start = read_pos & ring._mask
+        end = start + n
+        if end <= ring.capacity:
+            data = bytes(ring._storage[start:end])
+        else:  # wraps past the physical end
+            data = bytes(ring._storage[start:]) + ring._storage[:end - ring.capacity]
+        ring.read_pos = read_pos + n  # free the space only once it is copied
         return data
 
     @property

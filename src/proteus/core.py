@@ -9,11 +9,16 @@ single thread of control (the platform loop when daemonized).
 
 Each active deployment waits on up to two fds (its PTY master and its
 TCP carrier) and on one absolute deadline, the earliest pass that no fd
-announces.  They are worked out at the end of the deployment's own pass,
-and on deploy and undeploy, and the platform keeps them itself: the fds
-on its own epoll, the deadlines on a heap.  So it plugs into an event
-loop as one fd: wait until :meth:`Platform.fileno` is readable or
-:meth:`Platform.timeout` has passed, then call :meth:`Platform.serve`.
+announces.  They are worked out on deploy and undeploy, and at the end
+of a pass after which the endpoint's or the module's ``version`` has
+moved on.  The platform keeps them itself: the fds on its one epoll, the
+deadlines on a heap.  Other fds share that epoll through
+:meth:`Platform.add_reader`; the daemon's wake eventfd, control listener
+and control connections do.  :meth:`Platform.serve` makes one
+``epoll_wait`` per wake-up: it runs the ready readers' handlers, then the
+passes that are due.  An embedder nests the platform in its own loop
+instead through one fd: wait until :meth:`Platform.fileno` is readable
+or :meth:`Platform.timeout` has passed, then call ``serve()``.
 """
 
 from __future__ import annotations
@@ -77,17 +82,18 @@ class IdentityRuntime:
 
     A module behavior has the :class:`~proteus.modem.Modem`'s interface:
     ``feed`` takes what the hardware produced, ``carrier_pump`` what no
-    input brings, and both return a :class:`~proteus.modem.FeedResult`.
+    input brings while ``carrier`` is not None, and both return a
+    :class:`~proteus.modem.FeedResult`.  ``watch``, ``deadline`` and
+    ``accepts_input`` are looked at again once ``version`` moves on.
+    This one has no carrier, always takes input and never changes.
     """
+
+    carrier = None
+    accepts_input = True
+    version = 0
 
     def feed(self, data: bytes) -> FeedResult:
         return FeedResult(data)
-
-    def carrier_pump(self) -> FeedResult:
-        return FeedResult()
-
-    def accepts_input(self) -> bool:
-        return True
 
     def watch(self, room: bool) -> None:
         return None
@@ -126,6 +132,8 @@ class Deployment:
     runtime: object | None = None
     out_pending: bytearray = field(default_factory=bytearray)
     bytes_dropped: int = 0
+    # (endpoint version, runtime version, output room) when last watched
+    seen: tuple | None = None
 
     def status_entry(self) -> dict:
         entry = {
@@ -162,7 +170,7 @@ class Tombstone:
         return self.entry
 
 
-@dataclass
+@dataclass(slots=True)
 class PumpProgress:
     bytes_in: int = 0
     bytes_out: int = 0
@@ -205,6 +213,7 @@ class Platform:
         # what each deployment waits on (see _rewatch): its fds, registered
         # on _epoll, and its deadline, on the _timers heap
         self._epoll = select.epoll()
+        self._readers: dict[int, Callable[[], None]] = {}  # other fds on _epoll
         # deployment id -> fd -> (epoll events, holder)
         self._watched: dict[str, dict[int, tuple[int, object]]] = {}
         self._owner: dict[int, str] = {}  # registered fd -> its deployment id
@@ -368,15 +377,16 @@ class Platform:
 
     def undeploy(self, deployment_id: str) -> None:
         """Stop an active deployment and activate the next queued one."""
-        deployment = self._deployments.get(deployment_id)
-        if deployment is None:
-            raise UnknownDeploymentError(f"no such deployment: {deployment_id}")
-        if deployment.state is not DeploymentState.ACTIVE:
-            raise DeploymentNotActiveError(
-                f"deployment {deployment_id} is {deployment.state.value}, not active")
+        self.pump(deployment_id)  # final flush; raises unless it is active
+        deployment = self._deployments[deployment_id]
         deployment.state = DeploymentState.STOPPING
-        self._pass(deployment)  # final flush
         self._watch(deployment_id, {})  # while its fds are still open
+        # what the channel holds for the module, and module output it had
+        # no room for, go with them
+        for where, lost in (("channel", deployment.platform_handle.readable),
+                            ("platform", len(deployment.out_pending))):
+            if lost:
+                self._dropped(deployment, lost, where)
         deadline = None
         if deployment.endpoint.withdraw():
             # the client reads the tail on its own time, not the loop's
@@ -431,8 +441,9 @@ class Platform:
         pass goes on with that too.  So does input the endpoint holds for
         want of channel room once the pass has taken from the channel.
         The bytes a pass moves are counted in the endpoint's ``status``
-        entry, not traced.  Last, the pass works out what the deployment
-        waits on next.
+        entry, not traced.  Last, once the endpoint's or the module's
+        ``version`` or the output's room changed, the pass works out what
+        the deployment waits on next.
         """
         deployment = self._deployments.get(deployment_id)
         if deployment is None:
@@ -440,77 +451,60 @@ class Platform:
         if deployment.state is not DeploymentState.ACTIVE:
             raise DeploymentNotActiveError(
                 f"deployment {deployment_id} is {deployment.state.value}, not active")
-        progress = self._pass(deployment)
-        self._rewatch(deployment)
-        return progress
-
-    def _pass(self, deployment: Deployment) -> PumpProgress:
-        progress = PumpProgress()
-        notified = 0
-        endpoint = deployment.endpoint
+        endpoint, runtime = deployment.endpoint, deployment.runtime
+        handle, out = deployment.platform_handle, deployment.out_pending
+        capacity = self._capacity
+        taken = moved = notified = 0
         endpoint.pump_once()
         while True:
-            taken = progress.bytes_in
-            held_back = self._take_in(deployment, progress)
+            intake = taken
+            events = ()
+            held_back = len(out) >= capacity or not runtime.accepts_input
+            if not held_back:
+                data = handle.read(capacity)
+                if data:
+                    taken += len(data)
+                    result = runtime.feed(self._hams[deployment.ham_id][1].process(data))
+                    out += result.to_app
+                    events = result.events
+            if runtime.carrier is not None and len(out) < capacity:  # else the module waits too
+                result = runtime.carrier_pump()
+                out += result.to_app
+                if result.events:
+                    events = [*events, *result.events]
             # every notify makes room in the channel for more of out_pending
-            while progress.bytes_out > notified:
-                notified = progress.bytes_out
+            while True:
+                if out:
+                    try:
+                        accepted = handle.write(out)
+                        moved += accepted
+                    except ProteusError:
+                        # the application side is gone: nothing can deliver these
+                        accepted = len(out)
+                        self._dropped(deployment, accepted, "platform")
+                    del out[:accepted]
+                if moved == notified:
+                    break
+                notified = moved
                 endpoint.notify()
-                if deployment.out_pending:
-                    self._flush_out(deployment, progress)
+            for event in events:
+                self.trace.emit(TraceKind.COMMAND_PARSED, deployment_id=deployment_id, **event)
             if held_back:
-                if not self._takes_in(deployment):
-                    return progress
-            elif progress.bytes_in == taken or not endpoint.holds_input:
+                if len(out) >= capacity or not runtime.accepts_input:
+                    break
+            elif taken == intake or not endpoint.holds_input:
                 # input the endpoint holds waits for channel room, which
                 # nothing but this taking announces
-                return progress
+                break
             endpoint.pump_once()  # the endpoint's intake can move again
+        if deployment.seen != (endpoint.version, runtime.version, len(out) < capacity):
+            self._rewatch(deployment)
+        return PumpProgress(taken, moved)
 
-    def _takes_in(self, deployment: Deployment) -> bool:
-        return (len(deployment.out_pending) < self._capacity
-                and deployment.runtime.accepts_input())
-
-    def _take_in(self, deployment: Deployment, progress: PumpProgress) -> bool:
-        """Run the application's bytes through hardware and module into
-        ``out_pending``; True if intake was held back, by output backlog
-        or by a module that takes no input for now."""
-        if deployment.out_pending:
-            self._flush_out(deployment, progress)
-        held_back = not self._takes_in(deployment)
-        events: list = []
-        if not held_back and deployment.platform_handle.readable:
-            data = deployment.platform_handle.read(self._capacity)
-            progress.bytes_in += len(data)
-            _, ham = self._hams[deployment.ham_id]
-            result = deployment.runtime.feed(ham.process(data))
-            deployment.out_pending += result.to_app
-            events = result.events
-        if len(deployment.out_pending) < self._capacity:  # else the module waits too
-            result = deployment.runtime.carrier_pump()
-            deployment.out_pending += result.to_app
-            events += result.events
-        if deployment.out_pending:
-            self._flush_out(deployment, progress)
-        for event in events:
-            self.trace.emit(TraceKind.COMMAND_PARSED,
-                            deployment_id=deployment.deployment_id, **event)
-        return held_back
-
-    def _flush_out(self, deployment: Deployment, progress: PumpProgress) -> None:
-        try:
-            accepted = deployment.platform_handle.write(bytes(deployment.out_pending))
-        except ProteusError:
-            # the application side is gone: nothing can deliver these
-            dropped = len(deployment.out_pending)
-            deployment.out_pending.clear()
-            deployment.bytes_dropped += dropped
-            self.trace.emit(TraceKind.DATA_DROPPED, deployment_id=deployment.deployment_id,
-                            bytes=dropped, where="platform")
-            return
-        if accepted:
-            del deployment.out_pending[:accepted]
-            progress.bytes_out += accepted
+    def _dropped(self, deployment: Deployment, count: int, where: str) -> None:
+        deployment.bytes_dropped += count
+        self.trace.emit(TraceKind.DATA_DROPPED, deployment_id=deployment.deployment_id,
+                        bytes=count, where=where)
 
     def pump_all(self) -> bool:
         """Pump every active deployment once, and look at each withdrawn
@@ -535,8 +529,9 @@ class Platform:
 
     def fileno(self) -> int:
         """The platform's epoll: readable while an fd that some
-        deployment waits on is ready.  Wait until it is, or until
-        :meth:`timeout` has passed, then call :meth:`serve`."""
+        deployment or reader waits on is ready.  To nest the platform in
+        another loop, wait until it is, or until :meth:`timeout` has
+        passed, then call :meth:`serve`."""
         return self._epoll.fileno()
 
     def timeout(self) -> float | None:
@@ -550,14 +545,30 @@ class Platform:
             heapq.heappop(timers)  # superseded
         return max(0.0, timers[0][0] - time.monotonic()) if timers else None
 
-    def serve(self) -> None:
-        """Run one pass of each deployment whose fd is ready or whose
-        deadline has come, at most one each, through :meth:`pump`; a
-        stopped deployment whose client still reads the tail gets a look
-        at that client instead.  A due pass that leaves its deadline as
-        it was is looked at again after ``BACKLOG_POLL``, not at once."""
-        due = {self._owner[fd]: None for fd, _ in self._epoll.poll(0)}
+    def serve(self, timeout: float | None = 0.0) -> None:
+        """Wait until an fd on the platform's epoll is ready, for no longer
+        than ``timeout`` seconds (None: no limit) or the earliest deadline;
+        call each ready reader's handler; then, unless a handler shut the
+        platform down, run one pass through :meth:`pump` of each deployment
+        whose fd is ready or whose deadline has come.  A stopped deployment
+        whose client still reads the tail gets a look at that client
+        instead.  A due pass that leaves its deadline as it was is looked
+        at again after ``BACKLOG_POLL``, not at once."""
         timers = self._timers
+        wait = self.timeout() if timers else None
+        if wait is not None and (timeout is None or wait < timeout):
+            timeout = wait
+        ready = self._epoll.poll(timeout)
+        for fd, _ in ready:
+            handler = self._readers.get(fd)
+            if handler is not None:  # None: a deployment's, or removed by a handler
+                handler()
+        if self._epoll.closed:
+            return
+        due = {}
+        for fd, _ in ready:
+            if fd in self._owner:  # else a reader's, or unwatched by a handler
+                due[self._owner[fd]] = None
         now = time.monotonic() if timers else 0.0
         while timers and timers[0][0] <= now:
             deadline, deployment_id = heapq.heappop(timers)
@@ -572,12 +583,28 @@ class Platform:
             if deadline is not None and self._deadlines.get(deployment_id) == deadline:
                 self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
 
+    def add_reader(self, fd: int, handler: Callable[[], None]) -> None:
+        """Have :meth:`serve` call ``handler()``, before any pass, while
+        ``fd`` is readable, or as :meth:`modify_reader` says.  It may be
+        called for a closed fd whose number it reused in one wake-up."""
+        self._epoll.register(fd, select.EPOLLIN)
+        self._readers[fd] = handler
+
+    def modify_reader(self, fd: int, events: int) -> None:
+        self._epoll.modify(fd, events)
+
+    def remove_reader(self, fd: int) -> None:
+        del self._readers[fd]
+        self._epoll.unregister(fd)
+
     def _rewatch(self, deployment: Deployment) -> None:
         """Work out what ``deployment`` waits on, and watch it."""
         endpoint, runtime = deployment.endpoint, deployment.runtime
+        room = len(deployment.out_pending) < self._capacity
+        deployment.seen = (endpoint.version, runtime.version, room)
         fd, deadline = endpoint.watch()
         fds = {} if fd is None else {fd: (select.EPOLLIN, endpoint)}
-        carrier = runtime.watch(len(deployment.out_pending) < self._capacity)
+        carrier = runtime.watch(room)
         if carrier is not None:
             holder, events = carrier
             fds[holder.fileno()] = (events, holder)
@@ -650,26 +677,22 @@ class Platform:
         last ``MAX_TOMBSTONES`` are kept.  A stopped one's entry is a
         read-only :class:`~proteus.control.EncodedDict`, the same each call.
         """
-        hams = []
-        for ham_id, (descriptor, _) in sorted(self._hams.items()):
-            hams.append({
-                "ham_id": ham_id,
-                "hardware_type": descriptor.hardware_type,
-                "resources": dict(descriptor.resources),
-                "busy": ham_id in self._occupant,
-                "active_deployment": self._occupant.get(ham_id),
-                "queue_depth": len(self._queues.get(ham_id, ())),
-            })
-        modules = []
-        for module_id, manifest in sorted(self._modules.items()):
-            modules.append({
-                "module_id": module_id,
-                "display_name": manifest.display_name,
-                "implementations": [
-                    {"hardware_type": impl.hardware_type, "behavior": impl.behavior}
-                    for impl in manifest.implementations
-                ],
-            })
+        hams = [{
+            "ham_id": ham_id,
+            "hardware_type": descriptor.hardware_type,
+            "resources": dict(descriptor.resources),
+            "busy": ham_id in self._occupant,
+            "active_deployment": self._occupant.get(ham_id),
+            "queue_depth": len(self._queues.get(ham_id, ())),
+        } for ham_id, (descriptor, _) in sorted(self._hams.items())]
+        modules = [{
+            "module_id": module_id,
+            "display_name": manifest.display_name,
+            "implementations": [
+                {"hardware_type": impl.hardware_type, "behavior": impl.behavior}
+                for impl in manifest.implementations
+            ],
+        } for module_id, manifest in sorted(self._modules.items())]
         deployments = [d.status_entry() for d in self._deployments.values()]
         for deployment_id in self._occupant.values():
             # the entries sampled each endpoint's attachment
@@ -693,4 +716,5 @@ class Platform:
             time.sleep(BACKLOG_POLL)
             for deployment_id, endpoint in list(self._draining.items()):
                 self._linger(deployment_id, endpoint)
+        self._readers.clear()  # a reader ready in this wake-up is not called
         self._epoll.close()

@@ -2,18 +2,16 @@
 
 All platform work runs on one loop thread: the control requests, the
 trace streams, and the passes that move every deployment's bytes.  The
-daemon has no other thread, whatever it serves.  The loop blocks in one
-epoll on a wake eventfd, the control listener, every control connection
-and the platform's own epoll fd, for no longer than the platform's
-timeout (see :meth:`proteus.core.Platform.serve`).  Each wake-up first
-serves the control connections that are ready and the calls handed to
-the loop, so a control request runs before any pass; after
-:meth:`PlatformLoop.kick` it pumps every active deployment once.  Then,
-if the platform's fd fired or its timeout has passed, the platform
-serves what is due.  Last, the loop tops up each trace follower's output
-from the trace log.  A control request reaches the platform through
-:meth:`PlatformLoop.call`, which runs in place on the loop thread; other
-threads (tests, embedders) still hand their calls to the loop.
+daemon has no other thread, whatever it serves, and one epoll, the
+platform's: a wake eventfd, the control listener and every control
+connection are readers on it (:meth:`proteus.core.Platform.add_reader`).
+The loop calls :meth:`proteus.core.Platform.serve`, one ``epoll_wait``
+per wake-up, which serves the ready readers before any pass: a control
+request, or a call another thread hands the loop through
+:meth:`PlatformLoop.call` and the eventfd, runs before the passes of its
+wake-up.  After :meth:`PlatformLoop.kick` the loop pumps every active
+deployment once.  Last, each wake-up tops up every trace follower's
+output from the trace log.  On the loop thread, ``call`` runs in place.
 """
 
 from __future__ import annotations
@@ -64,12 +62,7 @@ class PlatformLoop:
         self._kicked = False
         self._wake = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
         self._wake_lock = threading.Lock()  # no write once stop closed it
-        self._epoll = select.epoll()
-        self._epoll.register(self._wake, select.EPOLLIN)
-        self._epoll.register(platform.fileno(), select.EPOLLIN)
-        # registered fd -> the handler it calls; a closed fd whose number
-        # was reused belongs to its new handler
-        self._owner: dict[int, Callable[[], None]] = {}
+        platform.add_reader(self._wake, self._woken)
         # called, if set, on the loop thread after each wake-up's pumps
         self.after_wake: Callable[[], None] | None = None
         self._stopped = False
@@ -103,58 +96,33 @@ class PlatformLoop:
         self._kicked = True
         self._wake_up()
 
-    def register(self, fd: int, handler) -> None:
-        """Call ``handler()`` whenever ``fd`` is readable, or as :meth:`modify` says.
-
-        This, :meth:`modify` and :meth:`unregister` run on the loop
-        thread.  A handler may be called when ``fd`` is not ready after
-        all, for a closed fd whose number it reused.
-        """
-        self._epoll.register(fd, select.EPOLLIN)
-        self._owner[fd] = handler
-
-    def modify(self, fd: int, events: int) -> None:
-        self._epoll.modify(fd, events)
-
-    def unregister(self, fd: int) -> None:
-        del self._owner[fd]
-        self._epoll.unregister(fd)
-
     def _wake_up(self) -> None:
         with self._wake_lock:
             if self._wake < 0:
                 raise RuntimeError("platform loop has stopped")
             os.eventfd_write(self._wake, 1)
 
+    def _woken(self) -> None:
+        """Run the calls handed to the loop, and the pass a kick asks for."""
+        os.eventfd_read(self._wake)
+        while self._calls:
+            call = self._calls.popleft()
+            try:
+                call.result = call.fn()
+            except BaseException as exc:
+                call.error = exc
+            finally:
+                call.done.set()
+        if self._kicked and not self._stopped:
+            self._kicked = False  # a kick that came in since is served by this pass
+            self.platform.pump_all()
+
     def _run(self) -> None:
         platform = self.platform
-        served = platform.fileno()
         while True:
-            ready = False
-            for fd, _ in self._epoll.poll(platform.timeout()):  # None: no deadline
-                if fd == served:
-                    ready = True
-                elif fd == self._wake:
-                    os.eventfd_read(self._wake)
-                else:
-                    handler = self._owner.get(fd)
-                    if handler is not None:  # None: unregistered by a handler above
-                        handler()
-            while self._calls:
-                call = self._calls.popleft()
-                try:
-                    call.result = call.fn()
-                except BaseException as exc:
-                    call.error = exc
-                finally:
-                    call.done.set()
+            platform.serve(None)  # None: until an fd is ready or a deadline comes
             if self._stopped:
                 return  # the platform has shut down, which closed its epoll
-            if self._kicked:
-                self._kicked = False  # a kick that came in since is served by this pass
-                platform.pump_all()
-            if ready or platform.timeout() == 0.0:
-                platform.serve()
             if self.after_wake is not None:
                 self.after_wake()
 
@@ -178,7 +146,6 @@ class PlatformLoop:
             self._thread.join(timeout=5.0)
         if not self._thread.is_alive():
             with self._wake_lock:
-                self._epoll.close()
                 os.close(self._wake)
                 self._wake = -1
 
@@ -241,7 +208,8 @@ class ControlServer:
             probe.close()
 
     def start(self) -> None:
-        self.loop.call(lambda: self.loop.register(self._listener.fileno(), self._accept))
+        self.loop.call(lambda: self.loop.platform.add_reader(self._listener.fileno(),
+                                                             self._accept))
 
     def _accept(self) -> None:
         while True:
@@ -263,7 +231,7 @@ class ControlServer:
                 continue
             conn = _Connection(sock)
             self._connections.add(conn)
-            self.loop.register(conn.fd, functools.partial(self._serve, conn))
+            self.loop.platform.add_reader(conn.fd, functools.partial(self._serve, conn))
 
     def _serve(self, conn: _Connection) -> None:
         """``conn`` is ready: send what it is owed, or read and answer."""
@@ -316,7 +284,8 @@ class ControlServer:
         writing = bool(conn.outbox)
         if writing is not conn.writing:
             conn.writing = writing
-            self.loop.modify(conn.fd, select.EPOLLOUT if writing else select.EPOLLIN)
+            self.loop.platform.modify_reader(conn.fd,
+                                             select.EPOLLOUT if writing else select.EPOLLIN)
 
     def _close(self, conn: _Connection) -> None:
         if conn in self._connections:
@@ -324,7 +293,7 @@ class ControlServer:
             self._followers.discard(conn)
             if not self._followers:
                 self.loop.after_wake = None
-            self.loop.unregister(conn.fd)
+            self.loop.platform.remove_reader(conn.fd)
             conn.sock.close()
 
     def _handle_line(self, conn: _Connection, line: bytes) -> None:
@@ -393,7 +362,7 @@ class ControlServer:
             pass
 
     def _close_all(self) -> None:
-        self.loop.unregister(self._listener.fileno())
+        self.loop.platform.remove_reader(self._listener.fileno())
         self._listener.close()
         for conn in list(self._connections):
             self._close(conn)

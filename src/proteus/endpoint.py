@@ -15,7 +15,7 @@ nothing, and ``EIO`` says the client has closed the node, which detaches
 it.  A master with no client reports hangup, not readiness, so until a
 client attaches, attachment is sampled on a timer.  :meth:`PtyEndpoint.watch`
 names the fd to watch and the deadline of the next pass no readiness
-announces; both change only with the endpoint's state.  Withdrawing
+announces; both change only when ``PtyEndpoint.version`` moves on.  Withdrawing
 unpublishes the node at once and takes no more input.  While an attached
 client has not read its tail the master stays open, and
 :meth:`PtyEndpoint.linger` closes it once the client has caught up or
@@ -107,6 +107,11 @@ class PtyEndpoint:
         self.bytes_dropped = 0
         self._in_pending = b""   # read from PTY, not yet accepted by channel
         self._out_pending = b""  # read from channel, not yet written to PTY
+        # True while bytes read from the client wait for channel room,
+        # which no readiness announces (see ``Platform.pump``)
+        self.holds_input = False
+        # what watch() tells changes only when version moves on
+        self.version = 0
 
     # -- client attachment ---------------------------------------------------
 
@@ -124,11 +129,13 @@ class PtyEndpoint:
         readable = bool(flags & select.POLLIN)
         self._set_attached(readable or not flags & select.POLLHUP)
         self._sampled_at = time.monotonic()
+        self.version += 1  # the next sample is due later
         return readable
 
     def _set_attached(self, attached: bool) -> None:
         if attached != self._attached:
             self._attached = attached
+            self.version += 1
             if attached:
                 self._sessions += 1
             logger.debug("endpoint %s: client %s", self.name,
@@ -149,21 +156,16 @@ class PtyEndpoint:
     # -- pump ----------------------------------------------------------------
 
     def pump_once(self) -> tuple[int, int]:
-        """One bounded pass both directions; returns (in, out) byte counts.
+        """Take what the client wrote into the channel, and retry output
+        a full PTY held back; returns (in, out) byte counts.
 
-        "in" is PTY toward platform, "out" is platform toward PTY.
+        "in" is PTY toward platform, "out" is platform toward PTY; what
+        the platform queues reaches the PTY through :meth:`notify`.
         Partial acceptance on either side leaves a pending remainder and
         stops further intake, so nothing is ever dropped.
         """
-        readable = self._attached or self._sample()
-        return self._pump_inbound(readable), self._pump_outbound()
-
-    def notify(self) -> None:
-        """Deliver to the client what the platform has just queued."""
-        self._pump_outbound()
-
-    def _pump_inbound(self, readable: bool) -> int:
-        if not self._in_pending and readable:
+        accepted = 0
+        if not self._in_pending and (self._attached or self._sample()):
             try:
                 self._in_pending = os.read(self._master, CHUNK)
                 if TTY_WRITE_PIECE <= len(self._in_pending) < CHUNK:
@@ -178,31 +180,35 @@ class PtyEndpoint:
                 # the client closed the node: detached, and sampling resumes
                 self._set_attached(False)
                 self._sampled_at = time.monotonic()
-        if not self._in_pending:
-            return 0
-        try:
-            accepted = self._handle.write(self._in_pending)
-        except ProteusError:
-            # platform side gone; drop what cannot be delivered
-            self.bytes_dropped += len(self._in_pending)
-            if self._trace is not None:
-                self._trace.emit(TraceKind.DATA_DROPPED, deployment_id=self.deployment_id,
-                                 bytes=len(self._in_pending), where="endpoint")
-            self._in_pending = b""
-            return 0
-        self.bytes_from_app += accepted
-        self._in_pending = self._in_pending[accepted:]
-        return accepted
+        if self._in_pending:
+            try:
+                accepted = self._handle.write(self._in_pending)
+            except ProteusError:
+                # platform side gone; drop what cannot be delivered
+                self._drop_input()
+            else:
+                self.bytes_from_app += accepted
+                self._in_pending = self._in_pending[accepted:]
+            if bool(self._in_pending) is not self.holds_input:
+                self.holds_input = not self.holds_input
+                self.version += 1
+        return accepted, self._pump_outbound() if self._out_pending else 0
+
+    def _drop_input(self) -> None:
+        self.bytes_dropped += len(self._in_pending)
+        if self._trace is not None:
+            self._trace.emit(TraceKind.DATA_DROPPED, deployment_id=self.deployment_id,
+                             bytes=len(self._in_pending), where="endpoint")
+        self._in_pending = b""
 
     def _pump_outbound(self) -> int:
         """Move channel bytes to the PTY until one of them runs dry or full."""
-        moved = 0
-        while True:
+        moved, held = 0, bool(self._out_pending)
+        drained = self._handle is None
+        while self._out_pending or not drained:
             if not self._out_pending:
-                handle = self._handle
-                if handle is None or not handle.readable:
-                    return moved
-                self._out_pending = handle.read(CHUNK)
+                self._out_pending = self._handle.read(CHUNK) or b""
+                drained = len(self._out_pending) < CHUNK  # the read emptied the ring
             try:
                 n = os.write(self._master, self._out_pending)
             except BlockingIOError:
@@ -214,7 +220,13 @@ class PtyEndpoint:
             self._out_pending = self._out_pending[n:]
             if self._out_pending:
                 self._retry_at = time.monotonic() + BACKLOG_POLL
+                self.version += 1
                 return moved
+        self.version += held  # no retry is due any more
+        return moved
+
+    # deliver to the client what the platform has just queued
+    notify = _pump_outbound
 
     # -- what a loop waits on --------------------------------------------------
 
@@ -230,12 +242,6 @@ class PtyEndpoint:
             return None, self._sampled_at + ATTACH_SAMPLE
         return (None if self._in_pending else self._master,
                 self._retry_at if self._out_pending else None)
-
-    @property
-    def holds_input(self) -> bool:
-        """True while bytes read from the client wait for channel room,
-        which no readiness announces (see ``Platform.pump``)."""
-        return bool(self._in_pending)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -261,7 +267,8 @@ class PtyEndpoint:
         stays open for the client to read the tail.
 
         What the platform already queued is taken from the channel, whose
-        handle closes, and written on to the client.  Closing the master
+        handle closes, and written on to the client; input read from the
+        client that the channel never took is counted dropped.  Closing the master
         discards whatever the client has not read yet, so an attached
         client that is behind keeps it open until :meth:`linger` closes it.
         """
@@ -273,6 +280,8 @@ class PtyEndpoint:
         while handle.readable:  # at most the channel's capacity
             self._out_pending += handle.read(CHUNK)
         handle.close()
+        if self._in_pending:  # read from the client, never to reach the platform
+            self._drop_input()
         self._drain_until = time.monotonic() + DRAIN_WAIT
         return self.linger()
 

@@ -26,7 +26,8 @@ class HamDescriptor:
 
 @dataclass(frozen=True)
 class HardwareImage:
-    """The blob deployed onto a device: a behavior tag plus parameters."""
+    """The blob deployed onto a device: a behavior tag plus parameters,
+    which none of the simulated device's behaviors takes."""
 
     behavior: str
     params: dict = field(default_factory=dict)
@@ -52,20 +53,18 @@ class Ham(ABC):
         """Return to the unconfigured state."""
 
 
-def _identity(data: bytes, params: dict) -> bytes:
-    return data
+def _unconfigured(data: bytes) -> bytes:
+    raise NotConfiguredError("device has no image configured")
 
 
-def _upper(data: bytes, params: dict) -> bytes:
-    return data.upper()
-
-
-# "modem-stub" is identity on purpose: the AT interpreter lives in the
-# modem software module on the platform side, not in the hardware.
-BEHAVIORS: dict[str, Callable[[bytes, dict], bytes]] = {
-    "identity": _identity,
-    "upper": _upper,
-    "modem-stub": _identity,
+# each image behavior's byte transform.  "modem-stub" is identity on
+# purpose: the AT interpreter lives in the modem software module on the
+# platform side, not in the hardware.  ``bytes`` of a bytes object is
+# that object, not a copy.
+BEHAVIORS: dict[str, Callable[[bytes], bytes]] = {
+    "identity": bytes,
+    "upper": bytes.upper,
+    "modem-stub": bytes,
 }
 
 
@@ -85,7 +84,7 @@ class SimulatedFpga(Ham):
         )
         self._reconfigure_delay = reconfigure_delay
         self._image: HardwareImage | None = None
-        self._transform: Callable[[bytes, dict], bytes] | None = None
+        self._transform: Callable[[bytes], bytes] = _unconfigured
 
     def probe(self) -> HamDescriptor:
         return self._descriptor
@@ -103,13 +102,11 @@ class SimulatedFpga(Ham):
         self._transform = transform
 
     def process(self, data: bytes) -> bytes:
-        if self._transform is None:
-            raise NotConfiguredError("device has no image configured")
-        return self._transform(data, self._image.params)
+        return self._transform(data)
 
     def reset(self) -> None:
         self._image = None
-        self._transform = None
+        self._transform = _unconfigured
 
     @property
     def configured(self) -> bool:

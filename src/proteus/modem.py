@@ -13,9 +13,10 @@ whoever pumps the modem moves its bytes in :meth:`Modem.carrier_pump`.
 :meth:`Modem.watch` names the socket and the epoll events to wait for,
 and :meth:`Modem.deadline` the time no fd announces.  A TCP dial
 is answered once the connect is decided; until then, and while
-``CARRIER_CHUNK`` bytes wait for the peer, :meth:`Modem.accepts_input`
-is False and input waits upstream.  Name lookup of a host that is not
-numeric still blocks.
+``CARRIER_CHUNK`` bytes wait for the peer, ``Modem.accepts_input`` is
+False and input waits upstream.  What these tell changes only when
+``Modem.version`` moves on, so a pump need not ask after every step.
+Name lookup of a host that is not numeric still blocks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ ERROR = "ERROR"
 CONNECT = "CONNECT"
 NO_CARRIER = "NO CARRIER"
 
-CR = 0x0D
 LINE_BUFFER_LIMIT = 256
 GUARD_SECONDS = 1.0
 # bytes a TCP carrier reads per pass, and holds for a peer that does not
@@ -336,7 +336,7 @@ class Mode(enum.Enum):
     DATA = "data"
 
 
-@dataclass
+@dataclass(slots=True)
 class FeedResult:
     """Output of one interpreter step; ``events`` holds the detail of
     each command line it answered, traced as ``CommandParsed``."""
@@ -376,6 +376,10 @@ class Modem:
         self._plus_count = 0
         self._plus_time = 0.0
         self._last_activity = self.clock()
+        # what watch(), deadline() and accepts_input tell changes only
+        # when version moves on (see _changed)
+        self.version = 0
+        self.accepts_input = True
 
     # -- command execution ---------------------------------------------------
 
@@ -420,8 +424,16 @@ class Modem:
         if self.carrier is not None:
             self.carrier.close()
             self.carrier = None
-        self._dial_event = None
-        self.mode = Mode.COMMAND
+            self._dial_event = None
+            self.mode = Mode.COMMAND  # both go with the carrier
+            self._changed()
+
+    def _changed(self) -> None:
+        """What :meth:`watch` or :meth:`deadline` tell may have changed:
+        move ``version`` on and work out ``accepts_input`` afresh."""
+        self.version += 1
+        self.accepts_input = self._dial_event is None and not (
+            self.mode is Mode.DATA and len(self.carrier.backlog) >= CARRIER_CHUNK)
 
     # -- byte-stream interface ----------------------------------------------
 
@@ -455,6 +467,7 @@ class Modem:
                 and self.clock() - self._plus_time >= self.guard_seconds):
             self._plus_count = 0
             self.mode = Mode.COMMAND  # carrier stays up, Hayes-style
+            self._changed()
             result.to_app += frame_result(OK)
             result.events.append({
                 "line": "+++",
@@ -463,27 +476,19 @@ class Modem:
             })
 
     def _feed_command(self, data: bytes, result: FeedResult) -> None:
-        echoed = 0  # data[:echoed] is echoed, or was typed with echo off
-        for i, byte in enumerate(data):
-            if byte == CR:
-                self._echo(data, echoed, i + 1, result)
-                echoed = i + 1
-                overflowed = self._line_overflow
-                line = self._line.decode("latin-1")
-                self._line.clear()
-                self._line_overflow = False
-                if not overflowed:
-                    self._run_line(line, result)
-                    if self.mode is Mode.DATA or self._dial_event is not None:
-                        self._consume(data[i + 1:], result)  # no longer commands
-                        return
-            elif self._line_overflow:
-                pass  # discarding until CR
-            else:
-                self._line.append(byte)
-                if len(self._line) > LINE_BUFFER_LIMIT:
-                    self._echo(data, echoed, i + 1, result)
-                    echoed = i + 1
+        start = 0  # data[:start] is echoed, or was typed with echo off
+        while True:
+            end = data.find(b"\r", start)
+            stop = len(data) if end < 0 else end
+            if not self._line_overflow:
+                room = LINE_BUFFER_LIMIT - len(self._line)
+                if stop - start > room:
+                    # the byte past the limit overflows the line; the rest
+                    # is discarded until CR
+                    cut = start + room + 1
+                    if self.echo:
+                        result.to_app += data[start:cut]
+                    start = cut
                     self._line.clear()
                     self._line_overflow = True
                     result.to_app += frame_result(ERROR)
@@ -492,11 +497,22 @@ class Modem:
                         "error": "line-overflow",
                         "result": ERROR,
                     })
-        self._echo(data, echoed, len(data), result)
-
-    def _echo(self, data: bytes, start: int, end: int, result: FeedResult) -> None:
-        if self.echo and start < end:
-            result.to_app += data[start:end]
+                else:
+                    self._line += data[start:stop]
+            if self.echo:
+                result.to_app += data[start:stop + 1]  # through the CR, if any
+            if end < 0:
+                return
+            start = end + 1
+            overflowed = self._line_overflow
+            line = self._line.decode("latin-1")
+            self._line.clear()
+            self._line_overflow = False
+            if not overflowed:
+                self._run_line(line, result)
+                if self.mode is Mode.DATA or self._dial_event is not None:
+                    self._consume(data[start:], result)  # no longer commands
+                    return
 
     def _run_line(self, line: str, result: FeedResult) -> None:
         stripped = line.strip()
@@ -524,6 +540,7 @@ class Modem:
         }
         if code is None:
             self._dial_event = event  # answered with the dial's outcome
+            self._changed()
             self._answer_dial(result)  # a loopback or local one is known at once
             return
         result.to_app += frame_result(code)
@@ -531,31 +548,24 @@ class Modem:
 
     def _feed_data(self, data: bytes, result: FeedResult) -> None:
         now = self.clock()
-        if self._plus_count:
-            # a candidate escape is pending; it survives only if this
-            # chunk arrives promptly and extends the '+' run to <= 3
-            if (now - self._plus_time < self.guard_seconds
-                    and not data.strip(b"+")
-                    and self._plus_count + len(data) <= 3):
-                self._plus_count += len(data)
-                self._plus_time = now
-                return
-            withheld = b"+" * self._plus_count
-            self._plus_count = 0
-            self._forward(withheld + data, now, result)
-            return
-        if (now - self._last_activity >= self.guard_seconds
-                and not data.strip(b"+") and len(data) <= 3):
-            self._plus_count = len(data)
+        # up to three '+' after guard silence are withheld as a candidate
+        # escape, which survives only a chunk that promptly extends it
+        if (now - self._plus_time < self.guard_seconds if self._plus_count
+                else now - self._last_activity >= self.guard_seconds) and (
+                not data.strip(b"+") and self._plus_count + len(data) <= 3):
+            self._plus_count += len(data)
             self._plus_time = now
+            self._changed()
             return
-        self._forward(data, now, result)
-
-    def _forward(self, data: bytes, now: float, result: FeedResult) -> None:
+        if self._plus_count:  # the run is broken: it goes first
+            data = b"+" * self._plus_count + data
+            self._plus_count = 0
+            self._changed()
         self._last_activity = now
-        if self.carrier is not None:
-            self.carrier.send(data)
+        self.carrier.send(data)
         result.to_carrier += data
+        if self.carrier.backlog:  # a TCP peer has not taken it yet
+            self._changed()
 
     def carrier_pump(self) -> FeedResult:
         """Deliver carrier traffic and time-driven transitions.
@@ -575,12 +585,15 @@ class Modem:
         if self.carrier is None or self.mode is not Mode.DATA:
             # while escaped to command mode, carrier traffic stays queued
             return result
+        sent = bool(self.carrier.backlog)  # recv sends what the peer takes
         data, closed = self.carrier.recv()
         if data:
             result.to_app += data
         if closed:
             self._drop_carrier()
             result.to_app += frame_result(NO_CARRIER)
+        elif sent:
+            self._changed()
         return result
 
     def _answer_dial(self, result: FeedResult) -> None:
@@ -592,6 +605,7 @@ class Modem:
             self.mode = Mode.DATA
             self._plus_count = 0
             self._last_activity = self.clock()
+            self._changed()
         else:
             self._drop_carrier()
         event["result"] = CONNECT if connected else NO_CARRIER
@@ -600,12 +614,6 @@ class Modem:
         held, self._held = self._held, b""
         if held:
             self._consume(held, result)
-
-    def accepts_input(self) -> bool:
-        """False while a dial awaits its outcome, or while the peer has
-        not taken ``CARRIER_CHUNK`` bytes sent to it."""
-        return self._dial_event is None and not (
-            self.mode is Mode.DATA and len(self.carrier.backlog) >= CARRIER_CHUNK)
 
     def watch(self, room: bool) -> tuple[TcpCarrier, int] | None:
         """The TCP carrier and the ``select.EPOLL*`` events on its fd that

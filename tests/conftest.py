@@ -24,6 +24,7 @@ class FakeEndpoint:
         self.notified = 0
         self.delivered = bytearray()  # what a client would have received
         self.holds_input = False
+        self.version = 0  # watch() never changes
 
     def notify(self):
         self.notified += 1
@@ -67,9 +68,12 @@ class FakeEndpointFactory:
 
 
 def epoll_fds(platform):
-    """The fds on the platform's epoll, as the kernel lists them."""
+    """The deployments' fds on the platform's epoll, as the kernel lists
+    them: its readers' fds (a daemon's wake, listener and connections)
+    are left out."""
     with open(f"/proc/self/fdinfo/{platform.fileno()}") as fh:
-        return {int(line.split()[1]) for line in fh if line.startswith("tfd:")}
+        fds = {int(line.split()[1]) for line in fh if line.startswith("tfd:")}
+    return fds - platform._readers.keys()
 
 
 @pytest.fixture

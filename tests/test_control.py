@@ -1215,14 +1215,14 @@ def test_fd_number_reused_within_one_wake_up_keeps_its_new_owner(tmp_path):
         def undeploy_then_reuse_the_master_fd():
             d.platform.undeploy(dep)  # closing the master drops it from epoll
             ours, theirs = socket.socketpair()
-            d.loop.register(ours.fileno(), fired.set)
+            d.platform.add_reader(ours.fileno(), fired.set)
             return ours, theirs
 
         pair = d.loop.call(undeploy_then_reuse_the_master_fd)
         assert pair[0].fileno() == master  # Linux hands out the lowest free fd
         pair[1].send(b"x")
         assert fired.wait(1.0)
-        d.loop.call(lambda: d.loop.unregister(pair[0].fileno()))
+        d.loop.call(lambda: d.platform.remove_reader(pair[0].fileno()))
     finally:
         for sock in pair:
             sock.close()

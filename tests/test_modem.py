@@ -555,7 +555,7 @@ def test_input_after_a_tcp_dial_waits_for_its_outcome():
             modem.feed(b"ATE0\r")
             dialled = modem.feed(b"ATD1\rAT\r")
             assert (dialled.to_app, dialled.events) == (b"", [])
-            assert not modem.accepts_input()
+            assert not modem.accepts_input
             clock.advance(modem.connect_timeout - 0.01)
             assert modem.carrier_pump().to_app == b""
             assert modem.deadline() == pytest.approx(clock() + 0.01)
@@ -566,7 +566,7 @@ def test_input_after_a_tcp_dial_waits_for_its_outcome():
             assert responses(answered.to_app) == [NO_CARRIER, OK]
             assert [(e["line"], e["result"]) for e in answered.events] == [
                 ("ATD1", NO_CARRIER), ("AT", OK)]
-            assert modem.accepts_input()
+            assert modem.accepts_input
             assert modem.carrier is None
         finally:
             modem.close()
