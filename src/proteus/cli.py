@@ -1,4 +1,5 @@
-"""proteusctl: operator command line for the platform daemon."""
+"""proteusctl: operator command line for the platform daemon, which
+``proteusctl daemon`` serves on its main thread until SIGINT or SIGTERM."""
 
 from __future__ import annotations
 
@@ -7,7 +8,6 @@ import json
 import logging
 import signal
 import sys
-import threading
 
 from .control import ControlClient, RemoteError
 from .daemon import Daemon
@@ -77,21 +77,20 @@ def _run_daemon(args) -> int:
         stream=sys.stderr)
     daemon = Daemon(runtime_dir=args.runtime_dir,
                     socket_path=resolve_socket_path(args.socket, args.runtime_dir))
-    for spec in args.ham if args.ham is not None else ["sim0:sim-fpga-v1"]:
-        ham_id, _, hardware_type = spec.partition(":")
-        daemon.platform.register_ham(
-            SimulatedFpga(ham_id, hardware_type or "sim-fpga-v1"))
-    for manifest_path in args.load:
-        daemon.platform.load_module_file(manifest_path)
-
-    daemon.start()
-    print(f"proteusctl daemon ready socket={daemon.server.socket_path}", flush=True)
-
-    done = threading.Event()
+    try:
+        for spec in args.ham if args.ham is not None else ["sim0:sim-fpga-v1"]:
+            ham_id, _, hardware_type = spec.partition(":")
+            daemon.platform.register_ham(
+                SimulatedFpga(ham_id, hardware_type or "sim-fpga-v1"))
+        for manifest_path in args.load:
+            daemon.platform.load_module_file(manifest_path)
+    except BaseException:
+        daemon.stop()  # it never served: this closes the socket and the platform
+        raise
     for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: done.set())
-    done.wait()
-    daemon.stop()
+        signal.signal(sig, lambda *_: daemon.loop.request_stop())
+    print(f"proteusctl daemon ready socket={daemon.server.socket_path}", flush=True)
+    daemon.run()
     return 0
 
 

@@ -1,21 +1,24 @@
-"""Platform daemon: the single event loop plus the control socket server.
+"""Platform daemon: the event loop plus the control socket server.
 
-All platform work runs on one loop thread: the control requests, the
-trace streams, and the passes that move every deployment's bytes.  The
-daemon has no other thread, whatever it serves, and one epoll, the
-platform's: a wake eventfd, the control listener and every control
-connection are readers on it (:meth:`proteus.core.Platform.add_reader`).
-The loop calls :meth:`proteus.core.Platform.serve`, one ``epoll_wait``
-per wake-up, which serves the ready readers before any pass: a control
-request, or a call another thread hands the loop through
-:meth:`PlatformLoop.call` and the eventfd, runs before the passes of its
-wake-up.  After :meth:`PlatformLoop.kick` the loop pumps every active
+All platform work runs on the one thread that serves the daemon
+(:meth:`Daemon.run`; ``proteusctl daemon`` serves on its main thread):
+the control requests, the trace streams, and the passes that move every
+deployment's bytes.  The daemon has no other thread, whatever it serves,
+and one epoll, the platform's: a wake eventfd, the control listener and
+every control connection are readers on it
+(:meth:`proteus.core.Platform.add_reader`).  The loop calls
+:meth:`proteus.core.Platform.serve`, one ``epoll_wait`` per wake-up,
+which serves the ready readers before any pass: a control request, or a
+call another thread hands the loop through :meth:`PlatformLoop.call` and
+the eventfd.  After :meth:`PlatformLoop.kick` the loop pumps every active
 deployment once.  Last, each wake-up tops up every trace follower's
-output from the trace log.  On the loop thread, ``call`` runs in place.
+output from the trace log.  A stop, from a signal handler too, sets a
+flag and writes the eventfd; the serving thread then closes everything.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
@@ -24,6 +27,7 @@ import select
 import socket
 import threading
 from collections import deque
+from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable
 
@@ -45,109 +49,86 @@ MAX_CLIENTS = 64  # control connections served at once
 RECV_SIZE = 64 * 1024
 
 
-class _Call:
-    def __init__(self, fn):
-        self.fn = fn
-        self.done = threading.Event()
-        self.result = None
-        self.error = None
-
-
 class PlatformLoop:
-    """Owns the platform; everything mutating runs on this one thread."""
+    """Owns the platform; everything mutating runs on the serving thread."""
 
     def __init__(self, platform: Platform):
         self.platform = platform
-        self._calls: deque[_Call] = deque()
+        self._calls: deque[tuple[Callable, Future]] = deque()
         self._kicked = False
+        self._stopping = False
+        self._thread: threading.Thread | None = None  # the one in run()
         self._wake = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
-        self._wake_lock = threading.Lock()  # no write once stop closed it
+        self._wake_lock = threading.Lock()  # no write from another thread once closed
         platform.add_reader(self._wake, self._woken)
-        # called, if set, on the loop thread after each wake-up's pumps
+        # called, if set, on the serving thread after each wake-up's pumps
         self.after_wake: Callable[[], None] | None = None
-        self._stopped = False
-        self._thread = threading.Thread(target=self._run, name="platform-loop",
-                                        daemon=True)
-
-    def start(self) -> None:
-        self._thread.start()
 
     def call(self, fn, timeout: float = 30.0):
-        """Run ``fn`` on the loop thread and return its result.
-
-        On the loop thread itself, as for a control request, ``fn`` runs
-        in place.
-        """
+        """Run ``fn`` on the serving thread and return its result; on that
+        thread itself, as for a control request, in place."""
         if threading.current_thread() is self._thread:
             return fn()
-        if not self._thread.is_alive():
-            raise RuntimeError("platform loop is not running")
-        call = _Call(fn)
-        self._calls.append(call)
-        self._wake_up()
-        if not call.done.wait(timeout):
-            raise TimeoutError("platform loop did not answer")
-        if call.error is not None:
-            raise call.error
-        return call.result
+        future = Future()
+        self._calls.append((fn, future))
+        if not self._wake_up():
+            raise RuntimeError("platform loop has stopped")
+        return future.result(timeout)
 
     def kick(self) -> None:
         """Ask the loop for a pump pass now; safe from any thread, coalesces."""
         self._kicked = True
         self._wake_up()
 
-    def _wake_up(self) -> None:
-        with self._wake_lock:
-            if self._wake < 0:
-                raise RuntimeError("platform loop has stopped")
-            os.eventfd_write(self._wake, 1)
+    def request_stop(self) -> None:
+        """Ask :meth:`run` to return; safe from any thread, from a signal
+        handler that interrupts the serving thread anywhere, and again."""
+        self._stopping = True
+        self._wake_up()
+
+    def _wake_up(self) -> bool:
+        """Write the wake eventfd; False once :meth:`close` has closed it."""
+        # the serving thread may be in a signal handler that interrupted the
+        # lock's holder, and it closes the fd itself, once _wake gave it up
+        serving = threading.current_thread() is self._thread
+        with contextlib.nullcontext() if serving else self._wake_lock:
+            wake = self._wake
+            if wake >= 0:
+                os.eventfd_write(wake, 1)
+        return wake >= 0
 
     def _woken(self) -> None:
         """Run the calls handed to the loop, and the pass a kick asks for."""
         os.eventfd_read(self._wake)
         while self._calls:
-            call = self._calls.popleft()
+            fn, future = self._calls.popleft()
             try:
-                call.result = call.fn()
+                future.set_result(fn())
             except BaseException as exc:
-                call.error = exc
-            finally:
-                call.done.set()
-        if self._kicked and not self._stopped:
+                future.set_exception(exc)
+        if self._kicked:
             self._kicked = False  # a kick that came in since is served by this pass
             self.platform.pump_all()
 
-    def _run(self) -> None:
+    def run(self) -> None:
+        """Serve the platform on this thread until :meth:`request_stop`."""
+        self._thread = threading.current_thread()
         platform = self.platform
-        while True:
+        while not self._stopping:
             platform.serve(None)  # None: until an fd is ready or a deadline comes
-            if self._stopped:
-                return  # the platform has shut down, which closed its epoll
             if self.after_wake is not None:
                 self.after_wake()
 
-    def _shutdown(self) -> None:
-        self._stopped = True  # first: the loop serves no shut-down platform
-        self.platform.shutdown()
-
-    def stop(self) -> None:
-        if self._stopped:
-            return  # second stop (e.g. daemon stopped from a test and teardown)
-        try:
-            if self._thread.is_alive():
-                self.call(self._shutdown, timeout=10.0)
-            else:
-                self._shutdown()  # the loop never ran; nothing contends for the platform
-        except Exception:
-            logger.exception("shutdown failed")
-        self._stopped = True
-        self._wake_up()
-        if self._thread.is_alive():
-            self._thread.join(timeout=5.0)
-        if not self._thread.is_alive():
-            with self._wake_lock:
-                os.close(self._wake)
-                self._wake = -1
+    def close(self) -> None:
+        """Shut the platform down and close the wake eventfd; once served,
+        on the serving thread."""
+        with self._wake_lock:
+            wake, self._wake = self._wake, -1
+        while self._calls:  # handed over before the stop, and never to be served
+            self._calls.popleft()[1].set_exception(RuntimeError("platform loop has stopped"))
+        if wake >= 0:
+            self.platform.shutdown()
+            os.close(wake)
 
 
 def _error_reply(exc: ProteusError) -> bytes:
@@ -190,6 +171,7 @@ class ControlServer:
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
         self._followers: set[_Connection] = set()  # connections that stream the trace
+        loop.platform.add_reader(self._listener.fileno(), self._accept)
 
     def _claim_socket(self) -> None:
         if not self.socket_path.exists():
@@ -206,10 +188,6 @@ class ControlServer:
                 f"another daemon is serving {self.socket_path}")
         finally:
             probe.close()
-
-    def start(self) -> None:
-        self.loop.call(lambda: self.loop.platform.add_reader(self._listener.fileno(),
-                                                             self._accept))
 
     def _accept(self) -> None:
         while True:
@@ -352,20 +330,19 @@ class ControlServer:
             if conn.outbox and not conn.writing:
                 self._flush(conn)
 
-    def stop(self) -> None:
-        """Close the listener and every connection, trace followers too."""
-        if self._listener.fileno() >= 0:
-            self.loop.call(self._close_all)
+    def close(self) -> None:
+        """Close every connection, trace followers too, and the listener,
+        and remove the socket."""
+        if self._listener.fileno() < 0:
+            return
+        for conn in list(self._connections):
+            self._close(conn)
+        self.loop.platform.remove_reader(self._listener.fileno())
+        self._listener.close()
         try:
             self.socket_path.unlink()
         except OSError:
             pass
-
-    def _close_all(self) -> None:
-        self.loop.platform.remove_reader(self._listener.fileno())
-        self._listener.close()
-        for conn in list(self._connections):
-            self._close(conn)
 
 
 class Daemon:
@@ -375,13 +352,34 @@ class Daemon:
                  socket_path: Path | str | None = None):
         self.platform = Platform(runtime_dir=runtime_dir)
         self.loop = PlatformLoop(self.platform)
-        self.server = ControlServer(self.loop, socket_path)
+        try:
+            self.server = ControlServer(self.loop, socket_path)
+        except BaseException:
+            self.loop.close()  # e.g. another daemon serves the socket
+            raise
+        self._thread: threading.Thread | None = None
+
+    def run(self) -> None:
+        """Serve on this thread until ``loop.request_stop()``, then close
+        the control socket and shut the platform down."""
+        logger.info("daemon ready on %s (pid %d)", self.server.socket_path, os.getpid())
+        try:
+            self.loop.run()
+        finally:
+            self.server.close()
+            self.loop.close()
 
     def start(self) -> None:
-        self.loop.start()
-        self.server.start()
-        logger.info("daemon ready on %s (pid %d)", self.server.socket_path, os.getpid())
+        """:meth:`run` on a thread of its own."""
+        self._thread = threading.Thread(target=self.run, name="platform-loop",
+                                        daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
-        self.server.stop()
-        self.loop.stop()
+        """Stop the daemon :meth:`start` started, or close one never served."""
+        self.loop.request_stop()
+        if self._thread is not None:
+            self._thread.join()
+        else:
+            self.server.close()
+            self.loop.close()

@@ -93,11 +93,14 @@ def load_manifest(path: str) -> ModuleManifest:
     manifest's own directory, so a module can ship both files together.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise MalformedManifestError("document", f"unparseable manifest: {exc}") from exc
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedManifestError("path", f"cannot read manifest: {exc}") from exc
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise MalformedManifestError("document", f"unparseable manifest: {exc}") from exc
     manifest = manifest_from_dict(doc)
     plan = manifest.config.get("dial_plan")
     if plan and not Path(plan).is_absolute():

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from proteus.cli import main
+from proteus.control import ControlClient
 from proteus.daemon import Daemon
 from proteus.ham import SimulatedFpga
 
@@ -193,3 +194,59 @@ def test_daemon_subcommand_serves_until_sigterm(tmp_path):
         proc.stdout.close()
     assert rc == 0
     assert not sock.exists()
+
+
+@pytest.mark.parametrize("loads, code", [
+    (["missing.yaml"], "malformed-manifest"),
+    (["modem.yaml", "modem.yaml"], "duplicate-module-id"),
+])
+def test_daemon_that_cannot_start_says_why_and_leaves_no_socket(tmp_path, loads, code):
+    (tmp_path / "modem.yaml").write_text(MODEM_YAML.format(
+        hardware_type="sim-fpga-v1", endpoint_name="modem0"))
+    sock = tmp_path / "ctl.sock"
+    run = subprocess.run(
+        [sys.executable, "-m", "proteus.cli", "daemon",
+         "--socket", str(sock), "--runtime-dir", str(tmp_path),
+         *(flag for name in loads for flag in ("--load", str(tmp_path / name)))],
+        capture_output=True, text=True, timeout=15)
+    assert run.returncode == 1
+    assert f"error: {code}: " in run.stderr
+    assert not sock.exists()
+
+
+def test_daemon_serves_everything_on_one_thread_and_stops_on_sigint(tmp_path):
+    manifest = tmp_path / "modem.yaml"
+    manifest.write_text(MODEM_YAML.format(hardware_type="sim-fpga-v1",
+                                          endpoint_name="modem0"))
+    sock = tmp_path / "ctl.sock"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "proteus.cli", "daemon",
+         "--socket", str(sock), "--runtime-dir", str(tmp_path), "--load", str(manifest)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    pty = None
+    try:
+        assert "daemon ready" in _read_line_with_timeout(proc.stdout, 15)
+        with ControlClient(sock) as control, ControlClient(sock) as follower:
+            dep = control.request("deploy", module_id="modem", ham_id="sim0")
+            pty = os.open(dep["link"], os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+            os.write(pty, b"AT\r")
+            got = b""
+            while b"OK\r\n" not in got and select.select([pty], [], [], 5)[0]:
+                got += os.read(pty, 64)
+            assert b"OK\r\n" in got  # the client is attached and served
+            assert next(follower.follow_trace())["kind"] == "HamRegistered"
+            with open(f"/proc/{proc.pid}/status") as fh:
+                threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
+            assert threads == ["1"]
+            proc.send_signal(signal.SIGINT)
+            rc = proc.wait(timeout=15)
+    finally:
+        if pty is not None:
+            os.close(pty)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert rc == 0
+    assert not sock.exists()
+    assert not os.path.lexists(dep["link"])

@@ -5,10 +5,12 @@ from __future__ import annotations
 import contextlib
 import gc
 import json
+import logging
 import os
 import random
 import select
 import socket
+import sys
 import threading
 import time
 import warnings
@@ -238,8 +240,16 @@ def test_remote_errors_carry_stable_codes(client, tmp_path):
     assert exc.value.code == "unknown-deployment"
     with pytest.raises(RemoteError) as exc:
         client.request("load", path=str(tmp_path / "nothing.yaml"))
-    # unreadable manifest surfaces as an internal failure, not a hang
+    # an unreadable manifest gets an error code, not a hang
     assert exc.value.code
+
+
+@pytest.mark.parametrize("name", ["nothing.yaml", "."])
+def test_unreadable_manifest_is_malformed_and_logs_nothing(client, tmp_path, caplog, name):
+    with pytest.raises(RemoteError) as exc:
+        client.request("load", path=str(tmp_path / name))  # missing, or a directory
+    assert exc.value.code == "malformed-manifest"
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
 
 
 def test_busy_hardware_rejected_over_control(client, tmp_path):
@@ -367,8 +377,12 @@ def test_concurrent_clients_are_serialized_safely(daemon, tmp_path):
 
 
 def test_second_daemon_refuses_claimed_socket(daemon, tmp_path):
-    with pytest.raises(AlreadyRunningError):
-        Daemon(runtime_dir=tmp_path / "other", socket_path=daemon.server.socket_path)
+    fds = open_fds()
+    for _ in range(3):
+        with pytest.raises(AlreadyRunningError):
+            Daemon(runtime_dir=tmp_path / "other", socket_path=daemon.server.socket_path)
+    # a refused daemon keeps no fd; the served one closes each probe's connection
+    assert fds_settle_to(fds)
 
 
 def test_stale_socket_file_is_reclaimed(tmp_path):
@@ -462,6 +476,40 @@ def test_call_after_stop_fails_at_once(tmp_path):
     d.stop()
     with pytest.raises(RuntimeError):
         d.loop.call(lambda: None, timeout=5)
+
+
+def test_calls_handed_over_while_the_daemon_stops_end_at_once(tmp_path):
+    """Threads that keep handing the loop calls while another stops it get
+    each call served or a RuntimeError: none waits for its timeout, and
+    none writes the closed wake eventfd."""
+    fds = open_fds()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+            d.start()
+            ended = []
+
+            def hand_calls():
+                try:
+                    while True:
+                        d.loop.call(lambda: None, timeout=5)
+                except BaseException as exc:
+                    ended.append(exc)
+
+            callers = [threading.Thread(target=hand_calls) for _ in range(4)]
+            for caller in callers:
+                caller.start()
+            time.sleep(random.random() * 0.005)
+            d.stop()
+            for caller in callers:
+                caller.join(timeout=10)
+            assert not any(caller.is_alive() for caller in callers)
+            assert [type(exc) for exc in ended] == [RuntimeError] * len(callers), ended
+    finally:
+        sys.setswitchinterval(interval)
+    assert open_fds() == fds
 
 
 def test_escape_answers_a_client_that_stays_silent(daemon, tmp_path):
