@@ -1,5 +1,11 @@
 """proteusctl: operator command line for the platform daemon, which
-``proteusctl daemon`` serves on its main thread until SIGINT or SIGTERM."""
+``proteusctl daemon`` serves on its main thread until SIGINT or SIGTERM.
+
+While it serves, the loop's wake pipe is the signal wakeup fd, so a stop
+signal wakes the loop however late it lands.  A daemon that cannot start
+(a manifest it cannot load, a control socket it cannot bind) prints
+``error: <code>: <message>``, leaves no socket and exits 1.
+"""
 
 from __future__ import annotations
 
@@ -89,8 +95,15 @@ def _run_daemon(args) -> int:
         raise
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: daemon.loop.request_stop())
+    # Python runs a handler between bytecodes: one that lands just before
+    # epoll_wait would wait for the next wake-up, were it not for the byte
+    # the signal itself writes to the wake pipe
+    signal.set_wakeup_fd(daemon.loop.wakeup_fd, warn_on_full_buffer=False)
     print(f"proteusctl daemon ready socket={daemon.server.socket_path}", flush=True)
-    daemon.run()
+    try:
+        daemon.run()
+    finally:
+        signal.set_wakeup_fd(-1)
     return 0
 
 

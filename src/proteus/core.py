@@ -13,7 +13,7 @@ announces.  They are worked out on deploy and undeploy, and at the end
 of a pass after which the endpoint's or the module's ``version`` has
 moved on.  The platform keeps them itself: the fds on its one epoll, the
 deadlines on a heap.  Other fds share that epoll through
-:meth:`Platform.add_reader`; the daemon's wake eventfd, control listener
+:meth:`Platform.add_reader`; the daemon's wake pipe, control listener
 and control connections do.  :meth:`Platform.serve` makes one
 ``epoll_wait`` per wake-up: it runs the ready readers' handlers, then the
 passes that are due.  An embedder nests the platform in its own loop
@@ -177,7 +177,7 @@ class PumpProgress:
 
 
 def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
-                              name: str, link_dir: Path,
+                              name: str, link_dir: str,
                               trace: TraceLog | None = None) -> PtyEndpoint:
     return PtyEndpoint(deployment_id, app_handle, name, link_dir, trace)
 
@@ -195,7 +195,7 @@ class Platform:
                  channel_capacity: int = 4096,
                  endpoint_factory: Callable | None = None,
                  clock: Callable[[], float] = time.monotonic):
-        self._endpoint_dir = proteus_dir(runtime_dir)
+        self._endpoint_dir = str(proteus_dir(runtime_dir))
         self._capacity = channel_capacity
         self._clock = clock
         self.trace = TraceLog()
@@ -370,8 +370,8 @@ class Platform:
                         deployment_id=deployment.deployment_id,
                         name=name,
                         path=deployment.endpoint.os_path,
-                        link=str(deployment.endpoint.link_path))
-        logger.info("deployment %s active: %s on %s at %s",
+                        link=deployment.endpoint.link_path)
+        logger.debug("deployment %s active: %s on %s at %s",
                     deployment.deployment_id, deployment.module_id,
                     deployment.ham_id, deployment.endpoint.os_path)
 
@@ -667,7 +667,7 @@ class Platform:
         }
         if isinstance(deployment, Deployment) and deployment.endpoint is not None:
             info["endpoint"] = deployment.endpoint.os_path
-            info["link"] = str(deployment.endpoint.link_path)
+            info["link"] = deployment.endpoint.link_path
         return info
 
     def status(self) -> dict:

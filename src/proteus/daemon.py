@@ -4,16 +4,20 @@ All platform work runs on the one thread that serves the daemon
 (:meth:`Daemon.run`; ``proteusctl daemon`` serves on its main thread):
 the control requests, the trace streams, and the passes that move every
 deployment's bytes.  The daemon has no other thread, whatever it serves,
-and one epoll, the platform's: a wake eventfd, the control listener and
+and one epoll, the platform's: a wake pipe, the control listener and
 every control connection are readers on it
 (:meth:`proteus.core.Platform.add_reader`).  The loop calls
 :meth:`proteus.core.Platform.serve`, one ``epoll_wait`` per wake-up,
 which serves the ready readers before any pass: a control request, or a
 call another thread hands the loop through :meth:`PlatformLoop.call` and
-the eventfd.  After :meth:`PlatformLoop.kick` the loop pumps every active
+the pipe.  After :meth:`PlatformLoop.kick` the loop pumps every active
 deployment once.  Last, each wake-up tops up every trace follower's
 output from the trace log.  A stop, from a signal handler too, sets a
-flag and writes the eventfd; the serving thread then closes everything.
+flag and writes the pipe; the serving thread then closes everything.
+The pipe's write end, ``PlatformLoop.wakeup_fd``, can be the process's
+``signal.set_wakeup_fd``: a signal then wakes the loop with its own byte,
+even one that lands after Python last looked for signals and before
+``epoll_wait``, whose handler would otherwise wait for the next wake-up.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .control import encode_response, encode_status_response, parse_request
 from .core import Platform, Policy
 from .errors import (
     AlreadyRunningError,
+    OsResourceError,
     ProteusError,
     ProtocolError,
     RequestTooLongError,
@@ -58,9 +63,11 @@ class PlatformLoop:
         self._kicked = False
         self._stopping = False
         self._thread: threading.Thread | None = None  # the one in run()
-        self._wake = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        # the wake pipe: a byte in it wakes the loop; the write end takes a
+        # signal's byte too, from signal.set_wakeup_fd
+        self._wake_r, self.wakeup_fd = os.pipe2(os.O_NONBLOCK | os.O_CLOEXEC)
         self._wake_lock = threading.Lock()  # no write from another thread once closed
-        platform.add_reader(self._wake, self._woken)
+        platform.add_reader(self._wake_r, self._woken)
         # called, if set, on the serving thread after each wake-up's pumps
         self.after_wake: Callable[[], None] | None = None
 
@@ -87,19 +94,22 @@ class PlatformLoop:
         self._wake_up()
 
     def _wake_up(self) -> bool:
-        """Write the wake eventfd; False once :meth:`close` has closed it."""
+        """Write the wake pipe; False once :meth:`close` has closed it."""
         # the serving thread may be in a signal handler that interrupted the
-        # lock's holder, and it closes the fd itself, once _wake gave it up
+        # lock's holder, and it closes the fd itself, once wakeup_fd gave it up
         serving = threading.current_thread() is self._thread
         with contextlib.nullcontext() if serving else self._wake_lock:
-            wake = self._wake
+            wake = self.wakeup_fd
             if wake >= 0:
-                os.eventfd_write(wake, 1)
+                try:
+                    os.write(wake, b"\0")
+                except BlockingIOError:
+                    pass  # full: the loop has a wake-up coming already
         return wake >= 0
 
     def _woken(self) -> None:
         """Run the calls handed to the loop, and the pass a kick asks for."""
-        os.eventfd_read(self._wake)
+        os.read(self._wake_r, 65536)  # a pipe's default capacity: all of it
         while self._calls:
             fn, future = self._calls.popleft()
             try:
@@ -120,15 +130,16 @@ class PlatformLoop:
                 self.after_wake()
 
     def close(self) -> None:
-        """Shut the platform down and close the wake eventfd; once served,
+        """Shut the platform down and close the wake pipe; once served,
         on the serving thread."""
         with self._wake_lock:
-            wake, self._wake = self._wake, -1
+            wake, self.wakeup_fd = self.wakeup_fd, -1
         while self._calls:  # handed over before the stop, and never to be served
             self._calls.popleft()[1].set_exception(RuntimeError("platform loop has stopped"))
         if wake >= 0:
             self.platform.shutdown()
             os.close(wake)
+            os.close(self._wake_r)
 
 
 def _error_reply(exc: ProteusError) -> bytes:
@@ -166,8 +177,12 @@ class ControlServer:
         self.socket_path = Path(socket_path) if socket_path else default_socket_path()
         self._claim_socket()
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._listener.bind(str(self.socket_path))
-        self._listener.listen(8)
+        try:
+            self._listener.bind(str(self.socket_path))
+            self._listener.listen(8)
+        except OSError as exc:  # e.g. a path too long for AF_UNIX
+            self._listener.close()
+            raise OsResourceError(f"cannot serve {self.socket_path}: {exc}") from exc
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
         self._followers: set[_Connection] = set()  # connections that stream the trace

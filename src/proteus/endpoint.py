@@ -2,12 +2,15 @@
 
 Each active deployment publishes one PTY whose slave node any stock
 terminal program can open like serial hardware.  A stable symlink under
-the runtime directory gives the node a predictable name.  The endpoint
-has no thread of its own: whoever pumps the deployment (the platform
-loop in the daemon, or the embedding program through
-``Platform.pump``) moves its bytes between the PTY master and the
-application handle of the deployment's duplex channel, with
-backpressure in both directions and no reordering.
+the runtime directory gives the node a predictable name.  Publishing
+tries the symlink first and looks only when that fails: a dangling link
+left by a dead instance is replaced, a removed link directory is made
+again, and anything else under the name is a name in use, whereupon the
+PTY just opened is closed.  The endpoint has no thread of its own:
+whoever pumps the deployment (the platform loop in the daemon, or the
+embedding program through ``Platform.pump``) moves its bytes between the
+PTY master and the application handle of the deployment's duplex channel,
+with backpressure in both directions and no reordering.
 
 While a client is attached, the platform watches the master and a pass
 reads it straight away, with no poll first: data is data, ``EAGAIN`` is
@@ -31,7 +34,6 @@ import pty
 import select
 import time
 import tty
-from pathlib import Path
 
 from .channel import ChannelHandle
 from .errors import NameInUseError, OsResourceError, ProteusError
@@ -54,6 +56,36 @@ BACKLOG_POLL = 0.01
 DRAIN_WAIT = 0.25
 
 
+def _publish(node: str, link_dir: str, name: str) -> str:
+    """Link ``<link_dir>/<name>`` to ``node``, and return the link's path.
+
+    A dangling link there is a stale leftover from a dead instance and is
+    replaced; any other file there is a name in use.  A link directory
+    that has been removed is made again.
+    """
+    link_path = os.path.join(link_dir, name)
+    try:
+        os.symlink(node, link_path)
+        return link_path
+    except FileExistsError:
+        if os.path.exists(link_path):  # follows the link
+            raise NameInUseError(f"endpoint name already published: {name}") from None
+        stale = True
+    except FileNotFoundError:
+        stale = False
+    except OSError as exc:
+        raise OsResourceError(f"cannot create endpoint link: {exc}") from exc
+    try:
+        if stale:
+            os.unlink(link_path)
+        else:
+            os.makedirs(link_dir, exist_ok=True)
+        os.symlink(node, link_path)
+    except OSError as exc:
+        raise OsResourceError(f"cannot create endpoint link: {exc}") from exc
+    return link_path
+
+
 class PtyEndpoint:
     """One published endpoint: PTY node and link.
 
@@ -63,37 +95,28 @@ class PtyEndpoint:
     """
 
     def __init__(self, deployment_id: str, app_handle: ChannelHandle, name: str,
-                 link_dir: Path, trace: TraceLog | None = None):
+                 link_dir: str, trace: TraceLog | None = None):
         self.deployment_id = deployment_id
         self.name = name
         self._handle: ChannelHandle | None = app_handle  # None once withdrawn
         self._trace = trace
 
-        link_dir = Path(link_dir)
-        link_path = link_dir / name
-        if link_path.is_symlink() or link_path.exists():
-            if link_path.is_symlink() and not link_path.exists():
-                link_path.unlink()  # stale leftover from a dead instance
-            else:
-                raise NameInUseError(f"endpoint name already published: {name}")
         try:
-            link_dir.mkdir(parents=True, exist_ok=True)
             master, slave = pty.openpty()
         except OSError as exc:
             raise OsResourceError(f"cannot allocate pseudo-terminal: {exc}") from exc
         try:
-            tty.setraw(slave)
-            self.os_path = os.ttyname(slave)
-        finally:
-            os.close(slave)
+            try:
+                tty.setraw(slave)
+                self.os_path = os.ttyname(slave)
+            finally:
+                os.close(slave)
+            self.link_path = _publish(self.os_path, link_dir, name)
+        except BaseException:
+            os.close(master)
+            raise
         os.set_blocking(master, False)
         self._master = master
-        try:
-            os.symlink(self.os_path, link_path)
-        except OSError as exc:
-            os.close(master)
-            raise OsResourceError(f"cannot create endpoint link: {exc}") from exc
-        self.link_path = link_path
 
         self._poller = select.poll()
         self._poller.register(master, select.POLLIN)
@@ -273,7 +296,7 @@ class PtyEndpoint:
         client that is behind keeps it open until :meth:`linger` closes it.
         """
         try:
-            self.link_path.unlink()
+            os.unlink(self.link_path)
         except OSError:
             pass
         handle, self._handle = self._handle, None
@@ -304,7 +327,7 @@ class PtyEndpoint:
         return {
             "name": self.name,
             "path": self.os_path,
-            "link": str(self.link_path),
+            "link": self.link_path,
             "open_count": self.open_count,
             "sessions": self._sessions,
             "bytes_from_app": self.bytes_from_app,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import errno
+import functools
 import os
 import re
 import select
@@ -164,12 +165,13 @@ def _normalize_dialstring(raw: str) -> str:
     return s.replace(" ", "").replace("-", "")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DialPlan:
     """Map from dial strings (digits, ``*``, ``#``) to carrier targets.
 
     The default target answers any number not listed; out of the box that
-    is loopback, so dialing anything connects offline.
+    is loopback, so dialing anything connects offline.  Frozen: the modems
+    that dial by one plan file share one parsed plan.
     """
 
     entries: dict[str, DialTarget] = field(default_factory=dict)
@@ -237,8 +239,22 @@ def parse_dial_plan(text: str) -> DialPlan:
 
 
 def load_dial_plan(path: str) -> DialPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dial_plan(fh.read())
+    """Read the plan at ``path`` afresh, and parse it unless these very
+    bytes were parsed before: an edited plan takes effect at once, and
+    an unchanged one costs a read."""
+    fd = os.open(path, os.O_RDONLY | os.O_CLOEXEC)
+    try:
+        data = b""
+        while chunk := os.read(fd, 65536):
+            data += chunk
+    finally:
+        os.close(fd)
+    return _parse_plan_bytes(data)
+
+
+@functools.lru_cache(maxsize=8)  # a daemon's modules use a few plans
+def _parse_plan_bytes(data: bytes) -> DialPlan:
+    return parse_dial_plan(data.decode("utf-8"))
 
 
 # --- carriers ---------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from proteus.core import Platform
@@ -18,7 +20,7 @@ class FakeEndpoint:
         self.handle = app_handle
         self.name = name
         self.os_path = f"/fake/{name}"
-        self.link_path = link_dir / name
+        self.link_path = os.path.join(link_dir, name)
         self.open_count = 0
         self.withdrawn = False
         self.notified = 0
@@ -48,7 +50,7 @@ class FakeEndpoint:
 
     def snapshot(self):
         return {"name": self.name, "path": self.os_path,
-                "link": str(self.link_path), "open_count": self.open_count,
+                "link": self.link_path, "open_count": self.open_count,
                 "sessions": 0, "bytes_from_app": 0, "bytes_to_app": 0,
                 "bytes_dropped": 0}
 

@@ -6,6 +6,7 @@ import json
 import os
 import select
 import signal
+import stat
 import subprocess
 import sys
 import threading
@@ -212,6 +213,51 @@ def test_daemon_that_cannot_start_says_why_and_leaves_no_socket(tmp_path, loads,
     assert run.returncode == 1
     assert f"error: {code}: " in run.stderr
     assert not sock.exists()
+
+
+def test_daemon_that_cannot_bind_its_socket_says_why(tmp_path):
+    sock = tmp_path / ("s" * 120)  # longer than an AF_UNIX address holds
+    run = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "proteus.cli", "daemon",
+         "--socket", str(sock), "--runtime-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=15)
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: os-resource-failure: ")
+    assert "too long" in run.stderr
+    assert "Traceback" not in run.stderr and "ResourceWarning" not in run.stderr
+    assert not sock.exists()
+
+
+def test_daemon_signal_wakes_the_loop_through_its_wake_pipe(tmp_path, monkeypatch):
+    """Python runs a signal handler between bytecodes, so a stop signal
+    that lands just before epoll_wait would wait for another wake-up,
+    were it not for the byte the signal writes to the wakeup fd: that is
+    the write end of a pipe whose read end the platform watches."""
+    seen = {}
+    serve = Daemon.run
+
+    def run(daemon):
+        wakeup = signal.set_wakeup_fd(-1)
+        if wakeup >= 0:
+            signal.set_wakeup_fd(wakeup, warn_on_full_buffer=False)
+            pipe = os.fstat(wakeup)
+            seen["fifo"] = stat.S_ISFIFO(pipe.st_mode)
+            seen["readers"] = [fd for fd in daemon.platform._readers
+                               if fd != wakeup and os.fstat(fd).st_ino == pipe.st_ino]
+        daemon.loop.request_stop()
+        serve(daemon)
+
+    monkeypatch.setattr(Daemon, "run", run)
+    handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        assert main(["daemon", "--socket", str(tmp_path / "ctl.sock"),
+                     "--runtime-dir", str(tmp_path)]) == 0
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    assert seen["fifo"]
+    assert len(seen["readers"]) == 1  # the pipe's read end is a platform reader
+    assert signal.set_wakeup_fd(-1) == -1  # given back once the daemon stopped
 
 
 def test_daemon_serves_everything_on_one_thread_and_stops_on_sigint(tmp_path):

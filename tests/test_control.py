@@ -36,6 +36,7 @@ from proteus.core import Platform, Policy
 from proteus.daemon import MAX_CLIENTS, MAX_LINE, Daemon
 from proteus.errors import (
     AlreadyRunningError,
+    OsResourceError,
     ProteusError,
     ProtocolError,
     UnknownDeploymentError,
@@ -383,6 +384,16 @@ def test_second_daemon_refuses_claimed_socket(daemon, tmp_path):
             Daemon(runtime_dir=tmp_path / "other", socket_path=daemon.server.socket_path)
     # a refused daemon keeps no fd; the served one closes each probe's connection
     assert fds_settle_to(fds)
+
+
+def test_daemon_that_cannot_bind_its_socket_keeps_no_fd(tmp_path):
+    path = tmp_path / ("s" * 120)  # longer than an AF_UNIX address holds
+    fds = open_fds()
+    for _ in range(3):
+        with pytest.raises(OsResourceError, match="too long"):
+            Daemon(runtime_dir=tmp_path, socket_path=path)
+    assert open_fds() == fds
+    assert not path.exists()
 
 
 def test_stale_socket_file_is_reclaimed(tmp_path):

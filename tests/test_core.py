@@ -311,6 +311,46 @@ def test_unreadable_dial_plan_fails_deploy(platform, sim_ham, tmp_path):
     assert not sim_ham.configured
 
 
+def dial(platform, endpoint_factory, dep, number):
+    handle = app_handle(endpoint_factory, "modem-sim0")
+    handle.write(b"ATD" + number + b"\r")
+    pump_drain(platform, dep)
+    return handle.read(4096)
+
+
+def test_dial_plan_rewritten_in_place_takes_effect_at_the_next_deploy(
+        platform, endpoint_factory, sim_ham, tmp_path):
+    plan = tmp_path / "dial.plan"
+    before, after = b"1 = none    \n", b"1 = loopback\n"
+    assert len(before) == len(after)
+    plan.write_bytes(before)
+    platform.register_ham(sim_ham)
+    platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+    dep = platform.deploy("modem", "sim0")
+    assert dial(platform, endpoint_factory, dep, b"1").endswith(b"NO CARRIER\r\n")
+    platform.undeploy(dep)
+    # same size, same mtime: only the bytes tell the plans apart
+    mtime = plan.stat().st_mtime_ns
+    with open(plan, "r+b") as fh:
+        fh.write(after)
+    os.utime(plan, ns=(mtime, mtime))
+    dep = platform.deploy("modem", "sim0")
+    assert dial(platform, endpoint_factory, dep, b"1").endswith(b"CONNECT\r\n")
+
+
+def test_dial_plan_removed_after_a_good_deploy_fails_the_next(platform, sim_ham, tmp_path):
+    plan = tmp_path / "dial.plan"
+    plan.write_text("default = loopback\n")
+    platform.register_ham(sim_ham)
+    platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+    platform.undeploy(platform.deploy("modem", "sim0"))
+    plan.unlink()
+    with pytest.raises(ConfigureFailedError):
+        platform.deploy("modem", "sim0")
+    assert platform.active_count == 0
+    assert not sim_ham.configured
+
+
 def test_endpoint_name_collision_fails_second_deploy(platform, modem_manifest):
     platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
     platform.register_ham(SimulatedFpga("sim1", "sim-fpga-v1"))

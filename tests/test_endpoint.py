@@ -94,12 +94,40 @@ def test_stale_link_from_dead_instance_is_replaced(tmp_path):
 
 
 def test_live_name_collision_refused(real_platform):
-    real_platform.register_ham(SimulatedFpga("sim1", "sim-fpga-v1"))
+    sim1 = SimulatedFpga("sim1", "sim-fpga-v1")
+    real_platform.register_ham(sim1)
     deploy_shouter(real_platform)
     real_platform.load_module(make_manifest("other", "identity", "identity",
                                             config={"endpoint_name": "loud0"}))
+    fds = len(os.listdir("/proc/self/fd"))
     with pytest.raises(NameInUseError):
         real_platform.deploy("other", "sim1")
+    assert len(os.listdir("/proc/self/fd")) == fds  # the PTY it opened is closed
+    assert not sim1.configured
+
+
+def test_file_in_the_way_of_the_link_is_a_name_in_use(tmp_path):
+    link_dir = tmp_path / "proteus"
+    link_dir.mkdir()
+    (link_dir / "loud0").write_text("not ours")
+    platform = Platform(runtime_dir=tmp_path)
+    platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    try:
+        with pytest.raises(NameInUseError):
+            deploy_shouter(platform)
+        assert (link_dir / "loud0").read_text() == "not ours"
+    finally:
+        platform.shutdown()
+
+
+def test_link_directory_removed_between_deploys_is_made_again(real_platform, tmp_path):
+    dep = deploy_shouter(real_platform)
+    real_platform.undeploy(dep)
+    (tmp_path / "proteus").rmdir()  # empty once the link is gone
+    dep = real_platform.deploy("shouter", "sim0")
+    link = real_platform.deployment_info(dep)["link"]
+    assert link == str(tmp_path / "proteus" / "loud0")
+    assert stat.S_ISCHR(os.stat(link).st_mode)
 
 
 # ---------------------------------------------------------------------------
