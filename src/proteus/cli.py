@@ -100,10 +100,7 @@ def _run_daemon(args) -> int:
     # the signal itself writes to the wake pipe
     signal.set_wakeup_fd(daemon.loop.wakeup_fd, warn_on_full_buffer=False)
     print(f"proteusctl daemon ready socket={daemon.server.socket_path}", flush=True)
-    try:
-        daemon.run()
-    finally:
-        signal.set_wakeup_fd(-1)
+    daemon.run()  # closing the loop gives the wakeup fd back
     return 0
 
 

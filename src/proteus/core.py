@@ -12,7 +12,9 @@ TCP carrier) and on one absolute deadline, the earliest pass that no fd
 announces.  They are worked out on deploy and undeploy, and at the end
 of a pass after which the endpoint's or the module's ``version`` has
 moved on.  The platform keeps them itself: the fds on its one epoll, the
-deadlines on a heap.  Other fds share that epoll through
+deadlines in a dict.  Deadlines are few: only an endpoint with no client
+or a withdrawn one, and a modem's guard time and connect timeout, set
+any.  Other fds share that epoll through
 :meth:`Platform.add_reader`; the daemon's wake pipe, control listener
 and control connections do.  :meth:`Platform.serve` makes one
 ``epoll_wait`` per wake-up: it runs the ready readers' handlers, then the
@@ -24,7 +26,6 @@ or :meth:`Platform.timeout` has passed, then call ``serve()``.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import logging
 import select
@@ -186,18 +187,15 @@ class Platform:
     """The platform core and its trace stream.
 
     ``endpoint_factory`` may be overridden for tests that do not need a
-    real pseudo-terminal per deployment.  Deadlines are on
-    ``time.monotonic``, which ``clock``, the modules' clock, must then be
-    for :meth:`serve` to keep them.
+    real pseudo-terminal per deployment.  Deadlines, the modules' too,
+    are on ``time.monotonic``.
     """
 
     def __init__(self, runtime_dir: Path | str | None = None,
                  channel_capacity: int = 4096,
-                 endpoint_factory: Callable | None = None,
-                 clock: Callable[[], float] = time.monotonic):
+                 endpoint_factory: Callable | None = None):
         self._endpoint_dir = str(proteus_dir(runtime_dir))
         self._capacity = channel_capacity
-        self._clock = clock
         self.trace = TraceLog()
         self._endpoint_factory = endpoint_factory or functools.partial(
             _default_endpoint_factory, trace=self.trace)
@@ -211,16 +209,13 @@ class Platform:
         self._queues: dict[str, deque[str]] = {}
         self._ids = itertools.count()
         # what each deployment waits on (see _rewatch): its fds, registered
-        # on _epoll, and its deadline, on the _timers heap
+        # on _epoll, and its deadline, in _deadlines
         self._epoll = select.epoll()
         self._readers: dict[int, Callable[[], None]] = {}  # other fds on _epoll
         # deployment id -> fd -> (epoll events, holder)
         self._watched: dict[str, dict[int, tuple[int, object]]] = {}
         self._owner: dict[int, str] = {}  # registered fd -> its deployment id
         self._deadlines: dict[str, float] = {}
-        # (deadline, deployment id), earliest first; an entry that no longer
-        # matches _deadlines is stale and dropped once it comes up
-        self._timers: list[tuple[float, str]] = []
         # stopped deployments' endpoints whose client still reads the tail
         self._draining: dict[str, PtyEndpoint] = {}
 
@@ -346,7 +341,7 @@ class Platform:
         try:
             try:
                 deployment.runtime = RUNTIME_BEHAVIORS[impl.behavior](
-                    manifest.config, self._clock)
+                    manifest.config, time.monotonic)
             except ProteusError:
                 raise
             except Exception as exc:
@@ -537,13 +532,12 @@ class Platform:
     def timeout(self) -> float | None:
         """Seconds until the earliest deadline, or None: the platform then
         waits on :meth:`fileno` alone.  Endpoints set deadlines to look for
-        a client, retry held-back output and watch a withdrawn client read
-        its tail; the modem, for its escape guard time and connect timeout.
+        a client and to watch a withdrawn client read its tail; the modem,
+        for its escape guard time and connect timeout.
         """
-        timers = self._timers
-        while timers and self._deadlines.get(timers[0][1]) != timers[0][0]:
-            heapq.heappop(timers)  # superseded
-        return max(0.0, timers[0][0] - time.monotonic()) if timers else None
+        if not self._deadlines:
+            return None
+        return max(0.0, min(self._deadlines.values()) - time.monotonic())
 
     def serve(self, timeout: float | None = 0.0) -> None:
         """Wait until an fd on the platform's epoll is ready, for no longer
@@ -554,8 +548,7 @@ class Platform:
         whose client still reads the tail gets a look at that client
         instead.  A due pass that leaves its deadline as it was is looked
         at again after ``BACKLOG_POLL``, not at once."""
-        timers = self._timers
-        wait = self.timeout() if timers else None
+        wait = self.timeout() if self._deadlines else None
         if wait is not None and (timeout is None or wait < timeout):
             timeout = wait
         ready = self._epoll.poll(timeout)
@@ -569,10 +562,9 @@ class Platform:
         for fd, _ in ready:
             if fd in self._owner:  # else a reader's, or unwatched by a handler
                 due[self._owner[fd]] = None
-        now = time.monotonic() if timers else 0.0
-        while timers and timers[0][0] <= now:
-            deadline, deployment_id = heapq.heappop(timers)
-            if self._deadlines.get(deployment_id) == deadline:
+        now = time.monotonic()
+        for deployment_id, deadline in self._deadlines.items():
+            if deadline <= now:
                 due[deployment_id] = deadline
         for deployment_id, deadline in due.items():
             endpoint = self._draining.get(deployment_id)
@@ -602,14 +594,12 @@ class Platform:
         endpoint, runtime = deployment.endpoint, deployment.runtime
         room = len(deployment.out_pending) < self._capacity
         deployment.seen = (endpoint.version, runtime.version, room)
-        fd, deadline = endpoint.watch()
-        fds = {} if fd is None else {fd: (select.EPOLLIN, endpoint)}
-        carrier = runtime.watch(room)
-        if carrier is not None:
-            holder, events = carrier
-            fds[holder.fileno()] = (events, holder)
-        # output held back behind a full channel waits on the endpoint's
-        # own backlog, whose retry its deadline names
+        master, deadline = endpoint.watch()
+        fds = {holder.fileno(): (events, holder)
+               for holder, events in filter(None, (master, runtime.watch(room)))}
+        # output held back behind a full channel waits for the endpoint to
+        # read the channel, which it does once the master reports room
+        # (EPOLLOUT) for the output it holds back itself
         due = runtime.deadline()
         if due is not None and (deadline is None or due < deadline):
             deadline = due
@@ -646,9 +636,8 @@ class Platform:
     def _set_deadline(self, deployment_id: str, deadline: float | None) -> None:
         if deadline is None:
             self._deadlines.pop(deployment_id, None)
-        elif self._deadlines.get(deployment_id) != deadline:
+        else:
             self._deadlines[deployment_id] = deadline
-            heapq.heappush(self._timers, (deadline, deployment_id))
 
     # -- introspection -------------------------------------------------------
 

@@ -18,6 +18,7 @@ The pipe's write end, ``PlatformLoop.wakeup_fd``, can be the process's
 ``signal.set_wakeup_fd``: a signal then wakes the loop with its own byte,
 even one that lands after Python last looked for signals and before
 ``epoll_wait``, whose handler would otherwise wait for the next wake-up.
+Closing the loop gives that wakeup fd back before it closes the pipe.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import logging
 import os
 import select
+import signal
 import socket
 import threading
 from collections import deque
@@ -130,10 +132,16 @@ class PlatformLoop:
                 self.after_wake()
 
     def close(self) -> None:
-        """Shut the platform down and close the wake pipe; once served,
-        on the serving thread."""
+        """Give back the signal wakeup fd if it is the wake pipe, shut the
+        platform down and close the pipe; once served, on the serving
+        thread."""
         with self._wake_lock:
             wake, self.wakeup_fd = self.wakeup_fd, -1
+        if wake >= 0 and threading.current_thread() is threading.main_thread():
+            # a signal must not write to the pipe once it has closed
+            wakeup = signal.set_wakeup_fd(-1)
+            if wakeup != wake:
+                signal.set_wakeup_fd(wakeup)  # not the loop's to give back
         while self._calls:  # handed over before the stop, and never to be served
             self._calls.popleft()[1].set_exception(RuntimeError("platform loop has stopped"))
         if wake >= 0:

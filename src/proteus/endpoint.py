@@ -15,14 +15,18 @@ with backpressure in both directions and no reordering.
 While a client is attached, the platform watches the master and a pass
 reads it straight away, with no poll first: data is data, ``EAGAIN`` is
 nothing, and ``EIO`` says the client has closed the node, which detaches
-it.  A master with no client reports hangup, not readiness, so until a
-client attaches, attachment is sampled on a timer.  :meth:`PtyEndpoint.watch`
-names the fd to watch and the deadline of the next pass no readiness
-announces; both change only when ``PtyEndpoint.version`` moves on.  Withdrawing
-unpublishes the node at once and takes no more input.  While an attached
-client has not read its tail the master stays open, and
-:meth:`PtyEndpoint.linger` closes it once the client has caught up or
-``DRAIN_WAIT`` has passed.
+it.  Output a full PTY holds back waits for the master to report room,
+and input the channel has no room for stops the watch for input, so a
+client that stops reading costs no pass until it reads again.  A master
+with no client reports hangup, not readiness, so until a client attaches,
+attachment is sampled on a timer; so it is again once a client has gone
+while input is held back, which leaves its last bytes unread.
+:meth:`PtyEndpoint.watch` names the master with the events to watch for
+and the deadline of the next pass no readiness announces; both change
+only when ``PtyEndpoint.version`` moves on.  Withdrawing unpublishes the
+node at once and takes no more input.  While an attached client has not
+read its tail the master stays open, and :meth:`PtyEndpoint.linger`
+closes it once the client has caught up or ``DRAIN_WAIT`` has passed.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ TTY_WRITE_PIECE = 2048
 # a master reports hangup, not readiness, while no client holds the
 # node open, so attachment is sampled on a timer instead of watched
 ATTACH_SAMPLE = 0.05
-# retry interval for bytes held back by a full PTY, and for looking
-# whether the client of a withdrawn endpoint has read its tail
+# how often a withdrawn endpoint looks whether its client has read the
+# tail, which no readiness of the master announces; the platform also
+# waits this long before it runs again a due pass that left its deadline
 BACKLOG_POLL = 0.01
 # how long a withdrawn endpoint lets an attached client read the tail
 DRAIN_WAIT = 0.25
@@ -123,7 +128,7 @@ class PtyEndpoint:
         self._attached = False
         self._sessions = 0
         self._sampled_at = time.monotonic()
-        self._retry_at = 0.0  # when output a full PTY held back is tried again
+        self._retry_at = 0.0  # when a withdrawn endpoint's client is looked at
         self._drain_until: float | None = None  # set once withdrawn
         self.bytes_from_app = 0
         self.bytes_to_app = 0
@@ -143,16 +148,21 @@ class PtyEndpoint:
 
         A readable master counts as attached even once hung up: a client
         that wrote and closed the node between two samples had a session,
-        and the read that finds its bytes gone ends it.
+        and the read that finds its bytes gone ends it.  While input is
+        held back, though, no read can take those bytes, and a hung-up
+        master counts as detached; its last bytes then count as a session
+        of their own once they can be read.
         """
         if self._master < 0:
             return False
         events = self._poller.poll(0)
         flags = events[0][1] if events else 0
         readable = bool(flags & select.POLLIN)
-        self._set_attached(readable or not flags & select.POLLHUP)
-        self._sampled_at = time.monotonic()
-        self.version += 1  # the next sample is due later
+        self._set_attached(not flags & select.POLLHUP
+                           or readable and not self._in_pending)
+        if not self._attached:
+            self._sampled_at = time.monotonic()
+            self.version += 1  # the next sample is due later
         return readable
 
     def _set_attached(self, attached: bool) -> None:
@@ -179,16 +189,20 @@ class PtyEndpoint:
     # -- pump ----------------------------------------------------------------
 
     def pump_once(self) -> tuple[int, int]:
-        """Take what the client wrote into the channel, and retry output
+        """Take what the client wrote into the channel, and write on output
         a full PTY held back; returns (in, out) byte counts.
 
         "in" is PTY toward platform, "out" is platform toward PTY; what
         the platform queues reaches the PTY through :meth:`notify`.
         Partial acceptance on either side leaves a pending remainder and
-        stops further intake, so nothing is ever dropped.
+        stops further intake, so nothing is ever dropped.  With input held
+        back, the master is sampled instead of read: a client that has
+        gone reports hangup for ever, and no read can find it out.
         """
         accepted = 0
-        if not self._in_pending and (self._attached or self._sample()):
+        if self._in_pending:
+            self._sample()
+        elif self._attached or self._sample():
             try:
                 self._in_pending = os.read(self._master, CHUNK)
                 if TTY_WRITE_PIECE <= len(self._in_pending) < CHUNK:
@@ -242,10 +256,9 @@ class PtyEndpoint:
             self.bytes_to_app += n
             self._out_pending = self._out_pending[n:]
             if self._out_pending:
-                self._retry_at = time.monotonic() + BACKLOG_POLL
-                self.version += 1
-                return moved
-        self.version += held  # no retry is due any more
+                break
+        # what watch() tells changes once output starts or stops being held back
+        self.version += held != bool(self._out_pending)
         return moved
 
     # deliver to the client what the platform has just queued
@@ -253,18 +266,25 @@ class PtyEndpoint:
 
     # -- what a loop waits on --------------------------------------------------
 
-    def watch(self) -> tuple[int | None, float | None]:
-        """(fd, deadline): the master while a client is attached and input
-        can be taken, and when, on ``time.monotonic``, a pass is due that
-        no readiness of the master announces.  That is the next attach
-        sample, the retry of output a full PTY held back, or the next
-        look at a withdrawn endpoint's client."""
+    def watch(self) -> tuple[tuple[PtyEndpoint, int] | None, float | None]:
+        """((endpoint, events), deadline).  While a client is attached, the
+        endpoint's master, as :meth:`fileno`, with the ``select.EPOLL*``
+        events that call for a pass: ``EPOLLIN`` while input can be taken
+        and ``EPOLLOUT`` while a full PTY holds output back; None when
+        there are none.  Else the deadline: when, on ``time.monotonic``,
+        a pass is due that no readiness of the master announces, that is
+        the next attach sample, or the next look at a withdrawn
+        endpoint's client."""
         if self._drain_until is not None:
             return None, self._retry_at
         if not self._attached:
             return None, self._sampled_at + ATTACH_SAMPLE
-        return (None if self._in_pending else self._master,
-                self._retry_at if self._out_pending else None)
+        events = (0 if self._in_pending else select.EPOLLIN) | (
+            select.EPOLLOUT if self._out_pending else 0)
+        return (self, events) if events else None, None
+
+    def fileno(self) -> int:
+        return self._master
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import select
 
 import pytest
 
@@ -35,7 +36,7 @@ class FakeEndpoint:
         return 0, 0
 
     def watch(self):
-        return None, None  # no fd to watch, no deadline
+        return None, None  # no master and events to watch, no deadline
 
     def withdraw(self):
         # the real endpoint drains outbound bytes to the terminal before
@@ -69,13 +70,20 @@ class FakeEndpointFactory:
         return endpoint
 
 
-def epoll_fds(platform):
-    """The deployments' fds on the platform's epoll, as the kernel lists
+def epoll_events(platform):
+    """The deployments' fds on the platform's epoll, each with the
+    ``EPOLLIN`` and ``EPOLLOUT`` it is registered for, as the kernel lists
     them: its readers' fds (a daemon's wake, listener and connections)
     are left out."""
     with open(f"/proc/self/fdinfo/{platform.fileno()}") as fh:
-        fds = {int(line.split()[1]) for line in fh if line.startswith("tfd:")}
-    return fds - platform._readers.keys()
+        fields = [line.split() for line in fh if line.startswith("tfd:")]
+    return {int(f[1]): int(f[3], 16) & (select.EPOLLIN | select.EPOLLOUT)
+            for f in fields if int(f[1]) not in platform._readers}
+
+
+def epoll_fds(platform):
+    """The deployments' fds on the platform's epoll."""
+    return set(epoll_events(platform))
 
 
 @pytest.fixture

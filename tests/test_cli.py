@@ -260,6 +260,44 @@ def test_daemon_signal_wakes_the_loop_through_its_wake_pipe(tmp_path, monkeypatc
     assert signal.set_wakeup_fd(-1) == -1  # given back once the daemon stopped
 
 
+def test_daemon_gives_the_wakeup_fd_back_before_its_pipe_closes(tmp_path, monkeypatch):
+    """A signal writes its byte to the wakeup fd, so that fd must not be
+    closed while it is still the wakeup fd."""
+    pipe = []
+    closed, closed_while_wakeup = [], []
+    real_close = os.close
+
+    def close(fd):
+        if threading.current_thread() is threading.main_thread():
+            wakeup = signal.set_wakeup_fd(-1)
+            if fd == wakeup:
+                closed_while_wakeup.append(fd)
+            elif wakeup >= 0:
+                signal.set_wakeup_fd(wakeup, warn_on_full_buffer=False)
+        closed.append(fd)
+        real_close(fd)
+
+    serve = Daemon.run
+
+    def run(daemon):
+        pipe.append(daemon.loop.wakeup_fd)
+        daemon.loop.request_stop()
+        serve(daemon)
+
+    monkeypatch.setattr(Daemon, "run", run)
+    monkeypatch.setattr(os, "close", close)
+    handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        assert main(["daemon", "--socket", str(tmp_path / "ctl.sock"),
+                     "--runtime-dir", str(tmp_path)]) == 0
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+    assert pipe[0] in closed
+    assert closed_while_wakeup == []
+    assert signal.set_wakeup_fd(-1) == -1
+
+
 def test_daemon_serves_everything_on_one_thread_and_stops_on_sigint(tmp_path):
     manifest = tmp_path / "modem.yaml"
     manifest.write_text(MODEM_YAML.format(hardware_type="sim-fpga-v1",

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import proteus
 from proteus.core import Platform
-from proteus.endpoint import DRAIN_WAIT
+from proteus.endpoint import ATTACH_SAMPLE, DRAIN_WAIT
 from proteus.ham import SimulatedFpga
 from proteus.modem import Modem
 from proteus.trace import TraceKind
@@ -74,6 +74,40 @@ class Served:
             self.platform.serve(0.01)
             self.read()
         return bytes(self.got)
+
+    def fill(self, serve) -> int:
+        """Write, and ``serve(timeout)``, without reading, until the
+        platform stops taking the client's input; returns what was sent."""
+        endpoint = self.deployment.endpoint
+        sent = stalled = 0
+        while stalled < 20:
+            before = endpoint.bytes_from_app
+            try:
+                sent += os.write(self.fd, b"x" * 512)
+            except BlockingIOError:
+                pass
+            serve(0.01)
+            stalled = stalled + 1 if endpoint.bytes_from_app == before else 0
+        return sent
+
+    def passes(self, seconds: float) -> int:
+        """How many passes the deployment gets while the platform is
+        served, as the daemon serves it, for ``seconds``."""
+        platform, pump, count = self.platform, self.platform.pump, 0
+
+        def counted(deployment_id):
+            nonlocal count
+            count += deployment_id == self.dep
+            return pump(deployment_id)
+
+        platform.pump = counted
+        try:
+            end = time.monotonic() + seconds
+            while (left := end - time.monotonic()) > 0:
+                platform.serve(left)
+        finally:
+            del platform.pump
+        return count
 
     def close(self) -> None:
         os.close(self.fd)
@@ -201,6 +235,39 @@ def test_a_modem_call_echo_and_an_at_line_cost_few_calls(served):
 
 
 # ---------------------------------------------------------------------------
+# a client that stops reading costs no passes until it reads again
+
+def test_a_client_that_stops_reading_costs_no_passes(served):
+    shouter = served("shouter")
+    endpoint = shouter.deployment.endpoint
+    sent = shouter.fill(shouter.platform.serve)
+    assert endpoint.holds_input and endpoint._out_pending
+    # the full PTY announces room for the output it holds back: no timer
+    assert shouter.platform.timeout() is None
+    assert shouter.passes(1.0) <= 5
+    # the client reads again and gets every byte back
+    assert shouter.receive(sent) == b"X" * sent
+    assert shouter.deployment.bytes_dropped == endpoint.bytes_dropped == 0
+
+
+def test_a_client_that_closes_with_both_directions_held_back_detaches(served):
+    # input held back leaves the client's last bytes unread, so no read
+    # finds out it has gone, and its master reports hangup for ever
+    shouter = served("shouter")
+    endpoint = shouter.deployment.endpoint
+    shouter.fill(shouter.platform.serve)
+    assert endpoint.holds_input and endpoint._out_pending
+    os.close(shouter.fd)
+    shouter.fd = os.open(os.devnull, os.O_RDONLY)  # for close()
+    deadline = time.monotonic() + 0.2
+    while endpoint._attached and time.monotonic() < deadline:
+        shouter.platform.serve(0.01)
+    assert not endpoint._attached
+    # attachment is sampled again, no more often than that
+    assert shouter.passes(1.0) <= 1.0 / ATTACH_SAMPLE + 5
+
+
+# ---------------------------------------------------------------------------
 # undeploy counts what it throws away
 
 def test_undeploy_counts_the_bytes_it_drops(served):
@@ -214,15 +281,7 @@ def test_undeploy_counts_the_bytes_it_drops(served):
         select.select([platform.fileno()], [], [], timeout)
         platform.serve()
 
-    stalled = 0
-    while stalled < 20:
-        before = endpoint.bytes_from_app
-        try:
-            os.write(shouter.fd, b"x" * 512)
-        except BlockingIOError:
-            pass
-        serve(0.01)
-        stalled = stalled + 1 if endpoint.bytes_from_app == before else 0
+    shouter.fill(serve)
     assert shouter.deployment.out_pending and endpoint.holds_input
     held = len(endpoint._in_pending)
     seq = platform.trace.next_seq

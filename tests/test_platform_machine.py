@@ -3,14 +3,17 @@
 A Hypothesis rule-based machine deploys the ``shouter`` module (the
 ``upper`` image behind the identity runtime) onto two simulated devices
 under both policies, undeploys, and attaches real PTY clients that write
-and read.  The platform moves bytes only when a rule calls
-:meth:`Platform.serve`, after waiting on its fd for no longer than its
-timeout, exactly as an event loop does.  After every step the platform's
-epoll holds exactly the masters of the attached clients of active
-deployments.  Every byte a client reads is the upper-cased byte it sent
-at that place in its stream.  Once a client settles, every byte it
-sent has come back or is counted as dropped; if its deployment was
-undeployed, that holds for every byte the platform took from it.
+and read, and that pause reading while they write past the PTY's room.
+The platform moves bytes only when a rule calls :meth:`Platform.serve`,
+after waiting on its fd for no longer than its timeout, exactly as an
+event loop does.  After every step the platform's epoll holds exactly
+the masters of the attached clients of active deployments, each for
+``EPOLLIN`` while it can take input and for ``EPOLLOUT`` while it holds
+output back, and none for neither.  Every byte a client reads is the
+upper-cased byte it sent at that place in its stream.  Once a client
+settles, every byte it sent has come back or is counted as dropped; if
+its deployment was undeployed, that holds for every byte the platform
+took from it.
 """
 
 from __future__ import annotations
@@ -39,13 +42,18 @@ from proteus.endpoint import DRAIN_WAIT
 from proteus.errors import DeploymentNotActiveError, HardwareBusyError
 from proteus.ham import SimulatedFpga
 
-from conftest import epoll_fds, make_manifest
+from conftest import epoll_events, make_manifest
 
 HAMS = ("sim0", "sim1")
 # what a client leaves unanswered at most: well inside one pass's intake,
 # so an undeploy's final pass takes all of it
 MAX_OUTSTANDING = 1024
 SETTLE = 2.0  # seconds a settling client waits for its answers
+# a client that pauses reading writes this, at most PAUSE_WRITES times:
+# well past the PTY's room (about 12 KiB one way on Linux), and short of
+# also filling the channel back, so its input is not held back
+PAUSE_PAYLOAD = b"p" * 512
+PAUSE_WRITES = 64
 
 
 class Client:
@@ -168,6 +176,22 @@ class PlatformMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.clients)
     @rule(data=st.data())
+    def pause_reading(self, data):
+        """The client writes, and is served, without reading until the
+        PTY holds back output; it reads again at the next ``serve``."""
+        client = self.clients[data.draw(st.sampled_from(sorted(self.clients)))]
+        for _ in range(PAUSE_WRITES):
+            if client.endpoint._out_pending:
+                break
+            try:
+                client.sent += PAUSE_PAYLOAD[:os.write(client.fd, PAUSE_PAYLOAD)]
+            except BlockingIOError:
+                pass
+            self._serve()
+        assert client.endpoint._out_pending
+
+    @precondition(lambda self: self.clients)
+    @rule(data=st.data())
     def close_client(self, data):
         dep = data.draw(st.sampled_from(sorted(self.clients)))
         client = self.clients.pop(dep)
@@ -214,12 +238,14 @@ class PlatformMachine(RuleBasedStateMachine):
 
     @invariant()
     def epoll_holds_the_attached_active_masters(self):
-        expected = set()
+        expected = {}
         for dep in self.occupant.values():
             endpoint = self.platform._deployments[dep].endpoint
-            if endpoint._attached and not endpoint.holds_input:
-                expected.add(endpoint._master)
-        assert epoll_fds(self.platform) == expected
+            events = (0 if endpoint.holds_input else select.EPOLLIN) | (
+                select.EPOLLOUT if endpoint._out_pending else 0)
+            if endpoint._attached and events:
+                expected[endpoint._master] = events
+        assert epoll_events(self.platform) == expected
 
     def teardown(self):
         try:
