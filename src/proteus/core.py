@@ -21,6 +21,14 @@ and control connections do.  :meth:`Platform.serve` makes one
 passes that are due.  An embedder nests the platform in its own loop
 instead through one fd: wait until :meth:`Platform.fileno` is readable
 or :meth:`Platform.timeout` has passed, then call ``serve()``.
+
+With the default endpoint factory a deploy takes a PTY opened ahead of
+it, a :class:`~proteus.endpoint.SparePty`, and only publishes the link.
+The platform opens the spare at the end of a ``serve()`` wake-up that
+called no reader handler, so that a control request right behind the
+deploy does not wait for it, and tries once per spare taken: a deploy
+that found none, out of fds for one, opens its PTY itself.
+:meth:`Platform.shutdown` closes a spare no deploy took.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from typing import Callable, ClassVar
 
 from .channel import ChannelHandle, create_duplex
 from .control import EncodedDict
-from .endpoint import BACKLOG_POLL, PtyEndpoint
+from .endpoint import BACKLOG_POLL, PtyEndpoint, SparePty
 from .errors import (
     ConfigureFailedError,
     DeploymentNotActiveError,
@@ -179,8 +187,9 @@ class PumpProgress:
 
 def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
                               name: str, link_dir: str,
-                              trace: TraceLog | None = None) -> PtyEndpoint:
-    return PtyEndpoint(deployment_id, app_handle, name, link_dir, trace)
+                              trace: TraceLog | None,
+                              pty: Callable[[], tuple[int, str]]) -> PtyEndpoint:
+    return PtyEndpoint(deployment_id, app_handle, name, link_dir, trace, pty())
 
 
 class Platform:
@@ -197,8 +206,14 @@ class Platform:
         self._endpoint_dir = str(proteus_dir(runtime_dir))
         self._capacity = channel_capacity
         self.trace = TraceLog()
-        self._endpoint_factory = endpoint_factory or functools.partial(
-            _default_endpoint_factory, trace=self.trace)
+        self._spare: SparePty | None = None  # opened ahead of a deploy (see serve)
+        if endpoint_factory is None:
+            self._spare = SparePty()
+            # looked up now, by name: a wrapper installed before the
+            # platform is built sees every endpoint open
+            endpoint_factory = functools.partial(
+                _default_endpoint_factory, trace=self.trace, pty=self._spare.take)
+        self._endpoint_factory = endpoint_factory
         self._hams: dict[str, tuple[HamDescriptor, Ham]] = {}
         self._modules: dict[str, ModuleManifest] = {}
         # in id order; a stopped one is a tombstone until MAX_TOMBSTONES
@@ -547,15 +562,18 @@ class Platform:
         whose fd is ready or whose deadline has come.  A stopped deployment
         whose client still reads the tail gets a look at that client
         instead.  A due pass that leaves its deadline as it was is looked
-        at again after ``BACKLOG_POLL``, not at once."""
+        at again after ``BACKLOG_POLL``, not at once.  Last, if no handler
+        was called and a deploy has taken the spare PTY, open another."""
         wait = self.timeout() if self._deadlines else None
         if wait is not None and (timeout is None or wait < timeout):
             timeout = wait
         ready = self._epoll.poll(timeout)
+        answered = False
         for fd, _ in ready:
             handler = self._readers.get(fd)
             if handler is not None:  # None: a deployment's, or removed by a handler
                 handler()
+                answered = True
         if self._epoll.closed:
             return
         due = {}
@@ -574,6 +592,9 @@ class Platform:
                 self._linger(deployment_id, endpoint)
             if deadline is not None and self._deadlines.get(deployment_id) == deadline:
                 self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
+        if not answered and self._spare is not None and self._spare.wanted:
+            # not right behind a reply: the request that follows it would wait
+            self._spare.refill()
 
     def add_reader(self, fd: int, handler: Callable[[], None]) -> None:
         """Have :meth:`serve` call ``handler()``, before any pass, while
@@ -696,8 +717,8 @@ class Platform:
     def shutdown(self) -> None:
         """Undeploy everything that is still active, wait, within each
         endpoint's ``DRAIN_WAIT``, for clients to read their tails, and
-        close the epoll.  This is final: the platform cannot be served
-        or deploy again."""
+        close the spare PTY and the epoll.  This is final: the platform
+        cannot be served or deploy again."""
         # undeploying can activate a queued deployment, which goes too
         while self._occupant:
             self.undeploy(next(iter(self._occupant.values())))
@@ -705,5 +726,7 @@ class Platform:
             time.sleep(BACKLOG_POLL)
             for deployment_id, endpoint in list(self._draining.items()):
                 self._linger(deployment_id, endpoint)
+        if self._spare is not None:
+            self._spare.close()
         self._readers.clear()  # a reader ready in this wake-up is not called
         self._epoll.close()

@@ -24,6 +24,7 @@ Closing the loop gives that wakeup fd back before it closes the pipe.
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import json
 import logging
@@ -154,6 +155,15 @@ def _error_reply(exc: ProteusError) -> bytes:
     return encode_response(False, error_code=exc.code, error_message=exc.message)
 
 
+def _turn_away(sock: socket.socket, exc: ProteusError) -> None:
+    """Answer a connection that is not to be served with ``exc``, and close it."""
+    with sock:
+        try:
+            sock.send(_error_reply(exc))
+        except OSError:
+            pass  # gone already
+
+
 class _Connection:
     """A control client: the bytes it sent and the answer it is still owed."""
 
@@ -177,7 +187,8 @@ class ControlServer:
     reading holds one answer and never stalls the loop.  A ``trace``
     request with ``follow`` turns its connection into a follower: after
     each wake-up the loop tops up its output from the trace, up to
-    ``RECV_SIZE`` bytes, and it reads no further request.
+    ``RECV_SIZE`` bytes, and it reads no further request.  Out of fds, a
+    connection is accepted on a reserve fd only to be refused.
     """
 
     def __init__(self, loop: PlatformLoop, socket_path: Path | str | None = None):
@@ -185,12 +196,18 @@ class ControlServer:
         self.socket_path = Path(socket_path) if socket_path else default_socket_path()
         self._claim_socket()
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self._reserve = -1
         try:
+            # given up for a moment to refuse a connection once fds run out
+            self._reserve = os.open(os.devnull, os.O_RDONLY)
             self._listener.bind(str(self.socket_path))
             self._listener.listen(8)
         except OSError as exc:  # e.g. a path too long for AF_UNIX
             self._listener.close()
+            if self._reserve >= 0:
+                os.close(self._reserve)
             raise OsResourceError(f"cannot serve {self.socket_path}: {exc}") from exc
+        self._exhausted = False  # warned that fds ran out; no accept since
         self._listener.setblocking(False)
         self._connections: set[_Connection] = set()
         self._followers: set[_Connection] = set()  # connections that stream the trace
@@ -219,20 +236,43 @@ class ControlServer:
             except BlockingIOError:
                 return  # accepted every pending connection
             except OSError as exc:
-                logger.warning("control accept failed: %s", exc)
+                if exc.errno not in (errno.EMFILE, errno.ENFILE) or self._reserve < 0:
+                    logger.warning("control accept failed: %s", exc)
+                elif self._refuse(exc):
+                    continue
                 return
+            self._exhausted = False
             sock.setblocking(False)
             if len(self._connections) >= MAX_CLIENTS:
-                with sock:
-                    try:
-                        sock.send(_error_reply(TooManyClientsError(
-                            f"the daemon serves at most {MAX_CLIENTS} control connections")))
-                    except OSError:
-                        pass  # gone already
+                _turn_away(sock, TooManyClientsError(
+                    f"the daemon serves at most {MAX_CLIENTS} control connections"))
                 continue
             conn = _Connection(sock)
             self._connections.add(conn)
             self.loop.platform.add_reader(conn.fd, functools.partial(self._serve, conn))
+
+    def _refuse(self, exc: OSError) -> bool:
+        """Out of fds: give the reserve fd up to accept a waiting
+        connection, answer it ``os-resource-failure``, close it and take
+        the reserve back; False if none was waiting.  Left waiting, it
+        would keep the listener readable, and the loop would spin."""
+        os.close(self._reserve)
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # none waiting: at the fd limit, accept fails
+            sock = None  # before it looks for a connection
+        else:
+            if not self._exhausted:
+                self._exhausted = True
+                logger.warning("refusing control connections until fds free up: %s", exc)
+            sock.setblocking(False)
+            _turn_away(sock, OsResourceError(
+                f"the daemon is out of file descriptors: {exc.strerror}"))
+        try:
+            self._reserve = os.open(os.devnull, os.O_RDONLY)
+        except OSError:
+            self._reserve = -1  # the fd went to another process
+        return sock is not None
 
     def _serve(self, conn: _Connection) -> None:
         """``conn`` is ready: send what it is owed, or read and answer."""
@@ -362,6 +402,9 @@ class ControlServer:
             self._close(conn)
         self.loop.platform.remove_reader(self._listener.fileno())
         self._listener.close()
+        if self._reserve >= 0:
+            os.close(self._reserve)
+            self._reserve = -1
         try:
             self.socket_path.unlink()
         except OSError:

@@ -6,7 +6,16 @@ the runtime directory gives the node a predictable name.  Publishing
 tries the symlink first and looks only when that fails: a dangling link
 left by a dead instance is replaced, a removed link directory is made
 again, and anything else under the name is a name in use, whereupon the
-PTY just opened is closed.  The endpoint has no thread of its own:
+PTY is closed.  A deploy need not open its PTY while the operator waits:
+the platform keeps at most one :class:`SparePty`, which it opens once
+after each deploy, at the end of a loop wake-up that answered no control
+request.
+The deploy that takes the spare polls its master once and uses it only
+if that reports hangup alone, so nobody holds its slave open and nobody
+has left input in it; otherwise the spare is closed and a fresh PTY
+opened.  Shutting the platform down closes a spare no deploy took.
+Attachment is sampled from the deploy on, not from when the spare was
+opened.  The endpoint has no thread of its own:
 whoever pumps the deployment (the platform loop in the daemon, or the
 embedding program through ``Platform.pump``) moves its bytes between the
 PTY master and the application handle of the deployment's duplex channel,
@@ -34,7 +43,6 @@ from __future__ import annotations
 import errno
 import logging
 import os
-import pty
 import select
 import time
 import tty
@@ -59,6 +67,66 @@ ATTACH_SAMPLE = 0.05
 BACKLOG_POLL = 0.01
 # how long a withdrawn endpoint lets an attached client read the tail
 DRAIN_WAIT = 0.25
+
+
+def open_pty() -> tuple[int, str]:
+    """Open a pseudo-terminal; return its master, non-blocking, and the
+    path of its slave node.  The slave is left in raw mode, so the byte
+    stream is 8-bit clean (echo and CR/LF framing belong to whatever
+    module sits behind the channel), and closed: clients open it by path."""
+    try:
+        master, slave = os.openpty()  # EMFILE says so, where pty.openpty would not
+    except OSError as exc:
+        raise OsResourceError(f"cannot allocate pseudo-terminal: {exc}") from exc
+    try:
+        tty.setraw(slave)
+        path = os.ttyname(slave)
+        os.set_blocking(master, False)
+    except BaseException:
+        os.close(master)
+        raise
+    finally:
+        os.close(slave)
+    return master, path
+
+
+class SparePty:
+    """At most one PTY opened ahead of the deploy that takes it.
+
+    :meth:`refill` opens one, once after each :meth:`take`, whenever its
+    owner has a moment; :meth:`take` hands it out only while nobody holds
+    its slave open and nobody has left input in it, and otherwise closes
+    it and opens a fresh one, as it does while there is none.
+    """
+
+    def __init__(self):
+        self._pty: tuple[int, str] | None = None
+        self.wanted = False  # a refill is due: one try per take
+
+    def take(self) -> tuple[int, str]:
+        """A PTY for :class:`PtyEndpoint`, which then owns it."""
+        spare, self._pty = self._pty, None
+        self.wanted = True
+        if spare is not None:
+            poller = select.poll()
+            poller.register(spare[0], select.POLLIN)
+            if poller.poll(0) == [(spare[0], select.POLLHUP)]:  # hangup alone
+                return spare
+            os.close(spare[0])
+        return open_pty()
+
+    def refill(self) -> None:
+        """Open the spare; out of fds or PTYs, go without until the next take."""
+        self.wanted = False
+        try:
+            self._pty = open_pty()
+        except OsResourceError as exc:
+            logger.debug("no spare PTY: %s", exc)
+
+    def close(self) -> None:
+        if self._pty is not None:
+            os.close(self._pty[0])
+            self._pty = None
 
 
 def _publish(node: str, link_dir: str, name: str) -> str:
@@ -94,33 +162,25 @@ def _publish(node: str, link_dir: str, name: str) -> str:
 class PtyEndpoint:
     """One published endpoint: PTY node and link.
 
-    The slave is left in raw mode so the byte stream is 8-bit clean;
-    echo and CR/LF framing belong to whatever module sits behind the
-    channel.  All methods run on the thread that pumps the deployment.
+    ``pty`` is a (master, slave node) pair from :func:`open_pty`, which
+    the endpoint then owns; without one it opens its own.  All methods
+    run on the thread that pumps the deployment.
     """
 
     def __init__(self, deployment_id: str, app_handle: ChannelHandle, name: str,
-                 link_dir: str, trace: TraceLog | None = None):
+                 link_dir: str, trace: TraceLog | None = None,
+                 pty: tuple[int, str] | None = None):
         self.deployment_id = deployment_id
         self.name = name
         self._handle: ChannelHandle | None = app_handle  # None once withdrawn
         self._trace = trace
 
+        master, self.os_path = pty if pty is not None else open_pty()
         try:
-            master, slave = pty.openpty()
-        except OSError as exc:
-            raise OsResourceError(f"cannot allocate pseudo-terminal: {exc}") from exc
-        try:
-            try:
-                tty.setraw(slave)
-                self.os_path = os.ttyname(slave)
-            finally:
-                os.close(slave)
             self.link_path = _publish(self.os_path, link_dir, name)
         except BaseException:
             os.close(master)
             raise
-        os.set_blocking(master, False)
         self._master = master
 
         self._poller = select.poll()

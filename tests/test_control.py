@@ -232,6 +232,22 @@ def test_load_deploy_status_undeploy_cycle(client, tmp_path):
     assert not os.path.lexists(dep["link"])
 
 
+def test_a_deploy_and_the_status_behind_it_open_no_pty_between_them(
+        daemon, tmp_path, monkeypatch):
+    # no attach sample may wake the loop for a pass in between
+    monkeypatch.setattr("proteus.endpoint.ATTACH_SAMPLE", 60.0)
+    calls = []
+    openpty, status = os.openpty, Platform.status
+    monkeypatch.setattr(os, "openpty", lambda: calls.append("openpty") or openpty())
+    monkeypatch.setattr(Platform, "status", lambda self: calls.append("status") or status(self))
+    with ControlClient(daemon.server.socket_path) as c:
+        c.request("load", path=str(tmp_path / "modem.yaml"))
+        dep = c.request("deploy", module_id="modem", ham_id="sim0")
+        assert c.request("status")["status"]["deployments"][0]["state"] == "active"
+    assert calls == ["openpty", "status"]  # the deploy's own PTY, and nothing more
+    assert os.path.lexists(dep["link"])
+
+
 def test_remote_errors_carry_stable_codes(client, tmp_path):
     with pytest.raises(RemoteError) as exc:
         client.request("deploy", module_id="ghost", ham_id="sim0")
@@ -382,6 +398,10 @@ def test_second_daemon_refuses_claimed_socket(daemon, tmp_path):
     for _ in range(3):
         with pytest.raises(AlreadyRunningError):
             Daemon(runtime_dir=tmp_path / "other", socket_path=daemon.server.socket_path)
+    with ControlClient(daemon.server.socket_path) as c:
+        # answered only once the probes' connections, queued ahead of this
+        # one, are accepted: none is accepted while the count settles
+        c.request("start")
     # a refused daemon keeps no fd; the served one closes each probe's connection
     assert fds_settle_to(fds)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import logging
 import os
 import stat
 import threading
@@ -11,8 +13,8 @@ import pytest
 
 from proteus.channel import create_duplex
 from proteus.core import Platform
-from proteus.endpoint import PtyEndpoint
-from proteus.errors import NameInUseError
+from proteus.endpoint import ATTACH_SAMPLE, PtyEndpoint
+from proteus.errors import NameInUseError, OsResourceError
 from proteus.ham import SimulatedFpga
 from proteus.trace import TraceLog
 
@@ -386,3 +388,127 @@ def test_repeated_cycles_leave_no_orphans(real_platform, tmp_path):
     assert os.listdir(str(tmp_path / "proteus")) == []
     assert wait(lambda: threading.active_count() <= before_threads)
     assert len(os.listdir(fd_dir)) <= before_fds + 2  # small slack for pytest io
+
+
+# ---------------------------------------------------------------------------
+# the spare PTY a deploy takes
+
+
+@pytest.fixture
+def openpty_calls(monkeypatch):
+    """Every ``os.openpty`` call from here on, counted."""
+    calls = []
+    openpty = os.openpty
+    monkeypatch.setattr(os, "openpty", lambda: calls.append(1) or openpty())
+    return calls
+
+
+def echo(platform, dep, data=b"hi"):
+    """A fresh client of ``dep`` writes ``data``; what it reads back once
+    the platform has served it."""
+    fd = open_client(platform.deployment_info(dep)["link"])
+    try:
+        os.write(fd, data)
+        got = bytearray()
+        deadline = time.monotonic() + 5
+        while len(got) < len(data) and time.monotonic() < deadline:
+            platform.serve(0.1)  # the attach sample finds the client
+            got += read_available(fd)
+        return bytes(got)
+    finally:
+        os.close(fd)
+
+
+def test_a_deploy_after_a_pass_only_wake_up_opens_no_pty(real_platform, openpty_calls):
+    dep = deploy_shouter(real_platform)
+    assert len(openpty_calls) == 1  # no spare yet: opened while the deploy waits
+    assert echo(real_platform, dep) == b"HI"  # wake-ups for passes alone
+    assert len(openpty_calls) == 2  # the spare, once
+    real_platform.undeploy(dep)
+    dep = real_platform.deploy("shouter", "sim0")
+    assert len(openpty_calls) == 2  # the deploy took the spare
+    assert echo(real_platform, dep) == b"HI"
+
+
+@pytest.mark.parametrize("holds_slave", [True, False])
+def test_a_spare_someone_touched_is_closed_not_handed_out(
+        real_platform, openpty_calls, holds_slave):
+    dep = deploy_shouter(real_platform)
+    real_platform.serve(0)  # answers no request: the spare is opened
+    _, spare_path = real_platform._spare._pty
+    stranger = os.open(spare_path, os.O_RDWR | os.O_NOCTTY | os.O_NONBLOCK)
+    try:
+        os.write(stranger, b"stale")
+        if not holds_slave:
+            os.close(stranger)  # its input stays in the PTY
+        real_platform.undeploy(dep)
+        del openpty_calls[:]
+        dep = real_platform.deploy("shouter", "sim0")
+        assert len(openpty_calls) == 1  # a fresh PTY instead
+        if holds_slave:
+            with pytest.raises(OSError):  # the spare's master has closed
+                os.write(stranger, b"more")
+    finally:
+        if holds_slave:
+            os.close(stranger)
+    assert echo(real_platform, dep, b"x") == b"X"  # none of the stale input
+    assert endpoint_of(real_platform, dep).bytes_from_app == 1
+
+
+def test_a_deployment_on_the_spare_samples_attachment_from_its_deploy(
+        real_platform, openpty_calls):
+    dep = deploy_shouter(real_platform)
+    real_platform.serve(0)  # the spare is opened
+    time.sleep(2 * ATTACH_SAMPLE)
+    real_platform.undeploy(dep)
+    deployed = time.monotonic()
+    dep = real_platform.deploy("shouter", "sim0")
+    assert len(openpty_calls) == 2  # the first deploy's, and the spare
+    _, deadline = endpoint_of(real_platform, dep).watch()
+    assert deadline >= deployed + ATTACH_SAMPLE
+
+
+def test_shutdown_closes_the_spare_and_leaves_no_fd(tmp_path):
+    fds = set(os.listdir("/proc/self/fd"))
+    platform = Platform(runtime_dir=tmp_path)
+    platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
+    deploy_shouter(platform)
+    platform.serve(0)  # the spare is opened
+    assert platform._spare._pty is not None
+    platform.shutdown()
+    assert set(os.listdir("/proc/self/fd")) <= fds
+
+
+def test_a_platform_with_its_own_endpoint_factory_opens_no_pty(
+        platform, sim_ham, shouter_manifest, openpty_calls):
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    for _ in range(3):
+        dep = platform.deploy("shouter", "sim0")
+        platform.serve(0)
+        platform.undeploy(dep)
+        platform.serve(0)
+    platform.shutdown()
+    assert openpty_calls == []
+
+
+def test_a_spare_that_cannot_be_opened_is_tried_once_per_deploy(
+        real_platform, monkeypatch, caplog):
+    dep = deploy_shouter(real_platform)
+    tries = []
+
+    def out_of_fds():
+        tries.append(1)
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "openpty", out_of_fds)
+    with caplog.at_level(logging.WARNING):
+        for _ in range(5):
+            real_platform.serve(0)
+    assert len(tries) == 1
+    assert caplog.records == []  # quietly
+    real_platform.undeploy(dep)
+    with pytest.raises(OsResourceError, match="Too many open files"):
+        real_platform.deploy("shouter", "sim0")  # opened while it waits, in vain
+    real_platform.serve(0)
+    assert len(tries) == 3  # the deploy's own, and one more for a spare

@@ -81,6 +81,7 @@ def test_traced_daemon_records_every_layer(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     calls = json.loads(run.stdout.splitlines()[-1])
-    for name in ("core.pump", "core.status", "endpoint.pump_once", "channel.read", "trace.emit",
+    for name in ("core.pump", "core.status", "endpoint.open", "endpoint.pump_once",
+                 "channel.read", "trace.emit",
                  "daemon.call.deploy", "daemon.call.status", "daemon.call.undeploy"):
         assert calls.get(name, 0) > 0, (name, calls)
