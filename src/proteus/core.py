@@ -189,7 +189,7 @@ def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
                               name: str, link_dir: str,
                               trace: TraceLog | None,
                               pty: Callable[[], tuple[int, str]]) -> PtyEndpoint:
-    return PtyEndpoint(deployment_id, app_handle, name, link_dir, trace, pty())
+    return PtyEndpoint(deployment_id, app_handle, name, link_dir, pty(), trace)
 
 
 class Platform:

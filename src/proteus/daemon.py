@@ -164,6 +164,14 @@ def _turn_away(sock: socket.socket, exc: ProteusError) -> None:
             pass  # gone already
 
 
+def _open_reserve() -> int:
+    """An fd to give up for a moment once fds run out; -1 if none is free."""
+    try:
+        return os.open(os.devnull, os.O_RDONLY)
+    except OSError:
+        return -1  # ENFILE: another process took it; tried again at the next accept
+
+
 class _Connection:
     """A control client: the bytes it sent and the answer it is still owed."""
 
@@ -230,14 +238,18 @@ class ControlServer:
             probe.close()
 
     def _accept(self) -> None:
+        if self._reserve < 0:  # lost to another opener at the last refusal
+            self._reserve = _open_reserve()
         while True:
             try:
                 sock, _ = self._listener.accept()
             except BlockingIOError:
                 return  # accepted every pending connection
             except OSError as exc:
-                if exc.errno not in (errno.EMFILE, errno.ENFILE) or self._reserve < 0:
+                if exc.errno not in (errno.EMFILE, errno.ENFILE):
                     logger.warning("control accept failed: %s", exc)
+                elif self._reserve < 0:
+                    self._warn_exhausted(exc)
                 elif self._refuse(exc):
                     continue
                 return
@@ -262,17 +274,17 @@ class ControlServer:
         except OSError:  # none waiting: at the fd limit, accept fails
             sock = None  # before it looks for a connection
         else:
-            if not self._exhausted:
-                self._exhausted = True
-                logger.warning("refusing control connections until fds free up: %s", exc)
+            self._warn_exhausted(exc)
             sock.setblocking(False)
             _turn_away(sock, OsResourceError(
                 f"the daemon is out of file descriptors: {exc.strerror}"))
-        try:
-            self._reserve = os.open(os.devnull, os.O_RDONLY)
-        except OSError:
-            self._reserve = -1  # the fd went to another process
+        self._reserve = _open_reserve()
         return sock is not None
+
+    def _warn_exhausted(self, exc: OSError) -> None:
+        if not self._exhausted:  # once per exhaustion
+            self._exhausted = True
+            logger.warning("refusing control connections until fds free up: %s", exc)
 
     def _serve(self, conn: _Connection) -> None:
         """``conn`` is ready: send what it is owed, or read and answer."""

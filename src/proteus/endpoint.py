@@ -44,6 +44,7 @@ import errno
 import logging
 import os
 import select
+import termios
 import time
 import tty
 
@@ -80,8 +81,11 @@ def open_pty() -> tuple[int, str]:
         raise OsResourceError(f"cannot allocate pseudo-terminal: {exc}") from exc
     try:
         tty.setraw(slave)
-        path = os.ttyname(slave)
+        path = os.ttyname(slave)  # ENODEV if the node is not under /dev
         os.set_blocking(master, False)
+    except (OSError, termios.error) as exc:
+        os.close(master)
+        raise OsResourceError(f"cannot set up pseudo-terminal: {exc}") from exc
     except BaseException:
         os.close(master)
         raise
@@ -163,19 +167,19 @@ class PtyEndpoint:
     """One published endpoint: PTY node and link.
 
     ``pty`` is a (master, slave node) pair from :func:`open_pty`, which
-    the endpoint then owns; without one it opens its own.  All methods
-    run on the thread that pumps the deployment.
+    the endpoint then owns.  All methods run on the thread that pumps the
+    deployment.
     """
 
     def __init__(self, deployment_id: str, app_handle: ChannelHandle, name: str,
-                 link_dir: str, trace: TraceLog | None = None,
-                 pty: tuple[int, str] | None = None):
+                 link_dir: str, pty: tuple[int, str],
+                 trace: TraceLog | None = None):
         self.deployment_id = deployment_id
         self.name = name
         self._handle: ChannelHandle | None = app_handle  # None once withdrawn
         self._trace = trace
 
-        master, self.os_path = pty if pty is not None else open_pty()
+        master, self.os_path = pty
         try:
             self.link_path = _publish(self.os_path, link_dir, name)
         except BaseException:

@@ -6,14 +6,16 @@ import errno
 import logging
 import os
 import stat
+import termios
 import threading
 import time
+import tty
 
 import pytest
 
 from proteus.channel import create_duplex
 from proteus.core import Platform
-from proteus.endpoint import ATTACH_SAMPLE, PtyEndpoint
+from proteus.endpoint import ATTACH_SAMPLE, PtyEndpoint, open_pty
 from proteus.errors import NameInUseError, OsResourceError
 from proteus.ham import SimulatedFpga
 from proteus.trace import TraceLog
@@ -350,7 +352,7 @@ def test_input_without_a_platform_side_is_counted_and_traced(tmp_path):
     app, platform_side = create_duplex()
     platform_side.close()  # whatever the client writes has nowhere to go
     trace = TraceLog()
-    endpoint = PtyEndpoint("d7", app, "orphan0", tmp_path, trace)
+    endpoint = PtyEndpoint("d7", app, "orphan0", tmp_path, open_pty(), trace)
     fd = open_client(endpoint.link_path)
     try:
         os.write(fd, b"lost")
@@ -490,6 +492,30 @@ def test_a_platform_with_its_own_endpoint_factory_opens_no_pty(
         platform.serve(0)
     platform.shutdown()
     assert openpty_calls == []
+
+
+def no_node(fd):
+    raise OSError(errno.ENODEV, os.strerror(errno.ENODEV))
+
+
+def no_raw_mode(fd, when=None):
+    raise termios.error(errno.EIO, os.strerror(errno.EIO))
+
+
+@pytest.mark.parametrize("module, name, failure",
+                         [(os, "ttyname", no_node), (tty, "setraw", no_raw_mode)])
+def test_a_pty_that_cannot_be_set_up_fails_the_deploy_not_the_loop(
+        real_platform, monkeypatch, module, name, failure):
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(module, name, failure)
+    with pytest.raises(OsResourceError, match="cannot set up pseudo-terminal"):
+        deploy_shouter(real_platform)
+    for _ in range(3):
+        real_platform.serve(0)  # the spare fails the same way, quietly
+    assert set(os.listdir("/proc/self/fd")) <= fds
+    monkeypatch.undo()
+    dep = real_platform.deploy("shouter", "sim0")
+    assert echo(real_platform, dep) == b"HI"
 
 
 def test_a_spare_that_cannot_be_opened_is_tried_once_per_deploy(

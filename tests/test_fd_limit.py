@@ -179,3 +179,56 @@ def test_deploy_out_of_fds_names_the_cause_and_leaks_none(tmp_path):
     assert result["free"] == 1  # the one it had: the deploy kept no fd
     assert result["state"] == "stopped"
     assert not list(tmp_path.glob("proteus/*"))  # nothing published
+
+
+# runs in its own interpreter: it fills its fd table up
+RESERVE_LOST = r"""
+import json
+import logging
+import os
+import socket
+import sys
+
+from proteus.daemon import Daemon
+
+warnings = []
+logging.getLogger("proteus.daemon").addHandler(
+    type("Keep", (logging.Handler,), {"emit": lambda self, r: warnings.append(1)})())
+daemon = Daemon(runtime_dir=sys.argv[1], socket_path=os.path.join(sys.argv[1], "ctl.sock"))
+server = daemon.server
+clients = []
+for _ in range(2):  # waiting in the listener's backlog
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    client.connect(str(server.socket_path))
+    client.settimeout(5)
+    clients.append(client)
+os.close(server._reserve)  # as if another process took its fd back
+server._reserve = -1
+held = []
+try:
+    while True:
+        held.append(os.open(os.devnull, os.O_RDONLY))
+except OSError:
+    pass
+server._accept()  # out of fds and without a reserve: one warning
+server._accept()
+lost = server._reserve
+os.close(held.pop())  # one fd frees up
+server._accept()
+replies = [json.loads(client.recv(4096)) for client in clients]
+print(json.dumps({"lost": lost, "reserve": server._reserve >= 0,
+                  "warnings": len(warnings), "replies": replies}))
+"""
+
+
+def test_a_reserve_lost_at_a_refusal_is_taken_again_once_an_fd_frees(tmp_path):
+    run = subprocess.run([sys.executable, "-c", RESERVE_LOST, str(tmp_path)],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=_limit(64))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["lost"] == -1
+    assert result["reserve"]  # taken again: later exhaustions are refused too
+    assert result["warnings"] == 1
+    assert [reply["error"]["code"] for reply in result["replies"]] == [
+        "os-resource-failure"] * 2
