@@ -22,7 +22,7 @@ a build without it would need the positions published with barriers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ClosedHandleError, InvalidCapacityError, PeerDisconnectedError
 
@@ -72,8 +72,7 @@ class Side(enum.Enum):
         return Side.PLATFORM if self is Side.APPLICATION else Side.APPLICATION
 
 
-@dataclass(frozen=True)
-class PollStatus:
+class PollStatus(NamedTuple):
     """Instantaneous snapshot of a handle's readable/writable byte counts."""
 
     readable: int

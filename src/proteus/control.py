@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ProtocolError
 
@@ -37,10 +37,14 @@ _ARG_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class ControlRequest:
-    op: str
-    args: dict = field(default_factory=dict)
+class ControlRequest(NamedTuple("ControlRequest", [("op", str), ("args", dict)])):
+    """One request: its op and its arguments by name.  ``args`` defaults
+    to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, op: str, args: dict | None = None):
+        return tuple.__new__(cls, (op, {} if args is None else args))
 
 
 def encode_request(request: ControlRequest) -> bytes:

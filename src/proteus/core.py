@@ -39,10 +39,9 @@ import logging
 import select
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable
 
 from .channel import ChannelHandle, create_duplex
 from .control import EncodedDict
@@ -94,7 +93,8 @@ class IdentityRuntime:
     input brings while ``carrier`` is not None, and both return a
     :class:`~proteus.modem.FeedResult`.  ``watch``, ``deadline`` and
     ``accepts_input`` are looked at again once ``version`` moves on.
-    This one has no carrier, always takes input and never changes.
+    ``close`` returns the bytes for the peer that the carrier took with
+    it.  This one has no carrier, always takes input and never changes.
     """
 
     carrier = None
@@ -110,8 +110,8 @@ class IdentityRuntime:
     def deadline(self) -> float | None:
         return None
 
-    def close(self) -> None:
-        pass
+    def close(self) -> int:
+        return 0
 
 
 class ModemRuntime(Modem):
@@ -129,20 +129,33 @@ RUNTIME_BEHAVIORS: dict[str, Callable] = {
 }
 
 
-@dataclass
 class Deployment:
-    deployment_id: str
-    module_id: str
-    ham_id: str
-    policy: Policy
-    state: DeploymentState = DeploymentState.PENDING
-    platform_handle: ChannelHandle | None = None
-    endpoint: PtyEndpoint | None = None
-    runtime: object | None = None
-    out_pending: bytearray = field(default_factory=bytearray)
-    bytes_dropped: int = 0
-    # (endpoint version, runtime version, output room) when last watched
-    seen: tuple | None = None
+    """A deployment until it stops: what it binds, and its data path."""
+
+    __slots__ = ("deployment_id", "module_id", "ham_id", "policy", "state",
+                 "platform_handle", "endpoint", "runtime", "out_pending",
+                 "bytes_dropped", "seen")
+
+    def __init__(self, deployment_id: str, module_id: str, ham_id: str, policy: Policy,
+                 state: DeploymentState = DeploymentState.PENDING,
+                 platform_handle: ChannelHandle | None = None,
+                 endpoint: PtyEndpoint | None = None,
+                 runtime: object | None = None,
+                 out_pending: bytearray | None = None,
+                 bytes_dropped: int = 0,
+                 seen: tuple | None = None):
+        self.deployment_id = deployment_id
+        self.module_id = module_id
+        self.ham_id = ham_id
+        self.policy = policy
+        self.state = state
+        self.platform_handle = platform_handle
+        self.endpoint = endpoint
+        self.runtime = runtime
+        self.out_pending = bytearray() if out_pending is None else out_pending
+        self.bytes_dropped = bytes_dropped
+        # (endpoint version, runtime version, output room) when last watched
+        self.seen = seen
 
     def status_entry(self) -> dict:
         entry = {
@@ -158,17 +171,20 @@ class Deployment:
         return entry
 
 
-@dataclass(slots=True)
 class Tombstone:
     """What is kept of a stopped deployment: no channel, endpoint or
     runtime, only who it was and its ``status`` entry, encoded once."""
 
-    deployment_id: str
-    module_id: str
-    ham_id: str
-    policy: Policy
-    entry: EncodedDict
-    state: ClassVar[DeploymentState] = DeploymentState.STOPPED
+    __slots__ = ("deployment_id", "module_id", "ham_id", "policy", "entry")
+    state = DeploymentState.STOPPED
+
+    def __init__(self, deployment_id: str, module_id: str, ham_id: str, policy: Policy,
+                 entry: EncodedDict):
+        self.deployment_id = deployment_id
+        self.module_id = module_id
+        self.ham_id = ham_id
+        self.policy = policy
+        self.entry = entry
 
     @classmethod
     def of(cls, deployment: Deployment) -> Tombstone:
@@ -179,10 +195,12 @@ class Tombstone:
         return self.entry
 
 
-@dataclass(slots=True)
 class PumpProgress:
-    bytes_in: int = 0
-    bytes_out: int = 0
+    __slots__ = ("bytes_in", "bytes_out")
+
+    def __init__(self, bytes_in: int = 0, bytes_out: int = 0):
+        self.bytes_in = bytes_in
+        self.bytes_out = bytes_out
 
 
 def _default_endpoint_factory(deployment_id: str, app_handle: ChannelHandle,
@@ -391,10 +409,12 @@ class Platform:
         deployment = self._deployments[deployment_id]
         deployment.state = DeploymentState.STOPPING
         self._watch(deployment_id, {})  # while its fds are still open
-        # what the channel holds for the module, and module output it had
-        # no room for, go with them
+        # what the channel holds for the module, module output it had no
+        # room for, and what the module's carrier holds for the peer go
+        # with them
         for where, lost in (("channel", deployment.platform_handle.readable),
-                            ("platform", len(deployment.out_pending))):
+                            ("platform", len(deployment.out_pending)),
+                            ("carrier", deployment.runtime.close())):
             if lost:
                 self._dropped(deployment, lost, where)
         deadline = None
@@ -404,7 +424,6 @@ class Platform:
             deadline = deployment.endpoint.watch()[1]
         self._set_deadline(deployment_id, deadline)
         deployment.platform_handle.close()
-        deployment.runtime.close()
         _, ham = self._hams[deployment.ham_id]
         ham.reset()
         self._bury(deployment)
@@ -477,11 +496,15 @@ class Platform:
                     result = runtime.feed(self._hams[deployment.ham_id][1].process(data))
                     out += result.to_app
                     events = result.events
+                    if result.dropped:
+                        self._dropped(deployment, result.dropped, "carrier")
             if runtime.carrier is not None and len(out) < capacity:  # else the module waits too
                 result = runtime.carrier_pump()
                 out += result.to_app
                 if result.events:
                     events = [*events, *result.events]
+                if result.dropped:
+                    self._dropped(deployment, result.dropped, "carrier")
             # every notify makes room in the channel for more of out_pending
             while True:
                 if out:

@@ -9,28 +9,33 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NotConfiguredError, UnknownBehaviorError
 
 
-@dataclass(frozen=True)
-class HamDescriptor:
-    """What a hardware abstraction module reports about its device."""
+class HamDescriptor(NamedTuple("HamDescriptor", [("ham_id", str), ("hardware_type", str),
+                                                 ("resources", dict)])):
+    """What a hardware abstraction module reports about its device:
+    immutable, as every caller gets the same one.  ``resources`` defaults
+    to a fresh dict, which a ``NamedTuple`` field default cannot give,
+    hence the ``__new__``."""
 
-    ham_id: str
-    hardware_type: str
-    resources: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, ham_id: str, hardware_type: str, resources: dict | None = None):
+        return tuple.__new__(cls, (ham_id, hardware_type, {} if resources is None else resources))
 
 
-@dataclass(frozen=True)
-class HardwareImage:
+class HardwareImage(NamedTuple("HardwareImage", [("behavior", str), ("params", dict)])):
     """The blob deployed onto a device: a behavior tag plus parameters,
-    which none of the simulated device's behaviors takes."""
+    which none of the simulated device's behaviors takes.  ``params``
+    defaults to a fresh dict."""
 
-    behavior: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, behavior: str, params: dict | None = None):
+        return tuple.__new__(cls, (behavior, {} if params is None else params))
 
 
 class Ham(ABC):

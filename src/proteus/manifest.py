@@ -8,30 +8,40 @@ attach.  Manifest files are YAML documents with exactly these fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
 from .errors import MalformedManifestError
 
 
-@dataclass(frozen=True)
-class Implementation:
-    """One algorithm implementation inside a module."""
+class Implementation(NamedTuple("Implementation", [
+        ("hardware_type", str), ("behavior", str), ("image_behavior", str),
+        ("image_params", dict)])):
+    """One algorithm implementation inside a module; ``image_params``
+    defaults to a fresh dict."""
 
-    hardware_type: str
-    behavior: str
-    image_behavior: str
-    image_params: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, hardware_type: str, behavior: str, image_behavior: str,
+                image_params: dict | None = None):
+        return tuple.__new__(cls, (hardware_type, behavior, image_behavior,
+                                   {} if image_params is None else image_params))
 
 
-@dataclass(frozen=True)
-class ModuleManifest:
-    module_id: str
-    display_name: str
-    implementations: tuple[Implementation, ...]
-    config: dict = field(default_factory=dict)
+class ModuleManifest(NamedTuple("ModuleManifest", [
+        ("module_id", str), ("display_name", str),
+        ("implementations", tuple), ("config", dict)])):
+    """A loaded module, shared by each of its deployments, so immutable;
+    ``config`` defaults to a fresh dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, module_id: str, display_name: str,
+                implementations: tuple[Implementation, ...], config: dict | None = None):
+        return tuple.__new__(cls, (module_id, display_name, implementations,
+                                   {} if config is None else config))
 
 
 def validate_manifest(manifest: ModuleManifest) -> None:

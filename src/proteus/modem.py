@@ -30,8 +30,7 @@ import select
 import socket
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import MalformedDialPlanError, NotAtPrefixedError
 
@@ -52,31 +51,66 @@ def frame_result(code: str) -> bytes:
     return b"\r\n" + code.encode("ascii") + b"\r\n"
 
 
+class _Value:
+    """Base of the parsed commands and the dial targets without a port:
+    immutable, and equal to (and hashed like) an instance of the very
+    same type whose ``__slots__`` hold equal values.  Not a tuple, so
+    values of two types never compare equal, however alike their fields:
+    ``Hangup() != ResetDefaults()`` and ``Dial("1") != Unknown("1")``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
 # --- parsed AT commands -----------------------------------------------------
 
-@dataclass(frozen=True)
-class Dial:
-    target: str
+class Dial(_Value):
+    __slots__ = ("target",)
+
+    def __init__(self, target: str):
+        object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Hangup:
-    pass
+class Hangup(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SetEcho:
-    enabled: bool
+class SetEcho(_Value):
+    __slots__ = ("enabled",)
+
+    def __init__(self, enabled: bool):
+        object.__setattr__(self, "enabled", enabled)
 
 
-@dataclass(frozen=True)
-class ResetDefaults:
-    pass
+class ResetDefaults(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unknown:
-    text: str
+class Unknown(_Value):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        object.__setattr__(self, "text", text)
 
 
 AtCommand = Union[Dial, Hangup, SetEcho, ResetDefaults, Unknown]
@@ -136,18 +170,15 @@ def parse_at_line(line: str) -> list[AtCommand]:
 
 # --- dial plan --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LoopbackTarget:
-    pass
+class LoopbackTarget(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NoCarrierTarget:
-    pass
+class NoCarrierTarget(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TcpTarget:
+class TcpTarget(NamedTuple):
     host: str
     port: int
 
@@ -165,24 +196,26 @@ def _normalize_dialstring(raw: str) -> str:
     return s.replace(" ", "").replace("-", "")
 
 
-@dataclass(frozen=True)
-class DialPlan:
+class DialPlan(NamedTuple("DialPlan", [("entries", dict), ("default", DialTarget)])):
     """Map from dial strings (digits, ``*``, ``#``) to carrier targets.
 
     The default target answers any number not listed; out of the box that
-    is loopback, so dialing anything connects offline.  Frozen: the modems
-    that dial by one plan file share one parsed plan.
+    is loopback, so dialing anything connects offline.  Immutable: the
+    modems that dial by one plan file share one parsed plan.  ``entries``
+    defaults to a fresh dict.
     """
 
-    entries: dict[str, DialTarget] = field(default_factory=dict)
-    default: DialTarget = field(default_factory=LoopbackTarget)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key in self.entries:
+    def __new__(cls, entries: dict[str, DialTarget] | None = None,
+                default: DialTarget | None = None):
+        entries = {} if entries is None else entries
+        for key in entries:
             if not _DIALSTRING_RE.match(key):
                 raise MalformedDialPlanError(
                     f"dial string must be digits/*/#, got {key!r}"
                 )
+        return tuple.__new__(cls, (entries, LoopbackTarget() if default is None else default))
 
     def resolve(self, dialed: str) -> DialTarget:
         return self.entries.get(_normalize_dialstring(dialed), self.default)
@@ -329,7 +362,7 @@ class TcpCarrier:
             except BlockingIOError:
                 pass
             except OSError:
-                self.backlog.clear()  # the peer is gone, as recv reports
+                pass  # the peer is gone, as recv reports; the backlog goes with the carrier
         try:
             data = self._sock.recv(CARRIER_CHUNK)
         except BlockingIOError:
@@ -352,14 +385,20 @@ class Mode(enum.Enum):
     DATA = "data"
 
 
-@dataclass(slots=True)
 class FeedResult:
     """Output of one interpreter step; ``events`` holds the detail of
-    each command line it answered, traced as ``CommandParsed``."""
+    each command line it answered, traced as ``CommandParsed``, and
+    ``dropped`` counts the bytes for the peer that a carrier took with it
+    when it went down."""
 
-    to_app: bytes = b""
-    to_carrier: bytes = b""
-    events: list = field(default_factory=list)
+    __slots__ = ("to_app", "to_carrier", "events", "dropped")
+
+    def __init__(self, to_app: bytes = b"", to_carrier: bytes = b"",
+                 events: list | None = None):
+        self.to_app = to_app
+        self.to_carrier = to_carrier
+        self.events = [] if events is None else events
+        self.dropped = 0
 
 
 class Modem:
@@ -386,6 +425,7 @@ class Modem:
         self._dial_event: dict | None = None
         self._dial_deadline = 0.0
         self._held = b""
+        self._dropped = 0  # backlog of a dropped carrier, for the next FeedResult
         self._line = bytearray()
         self._line_overflow = False
         # escape-sequence progress: withheld '+' count and timing
@@ -438,6 +478,7 @@ class Modem:
 
     def _drop_carrier(self) -> None:
         if self.carrier is not None:
+            self._dropped += len(self.carrier.backlog)
             self.carrier.close()
             self.carrier = None
             self._dial_event = None
@@ -467,6 +508,8 @@ class Modem:
             if self._plus_count == 3:
                 self._check_escape(result)
             self._consume(data, result)
+            if self._dropped:
+                result.dropped, self._dropped = self._dropped, 0
         return result
 
     def _consume(self, data: bytes, result: FeedResult) -> None:
@@ -610,6 +653,8 @@ class Modem:
             result.to_app += frame_result(NO_CARRIER)
         elif sent:
             self._changed()
+        if self._dropped:
+            result.dropped, self._dropped = self._dropped, 0
         return result
 
     def _answer_dial(self, result: FeedResult) -> None:
@@ -662,6 +707,9 @@ class Modem:
             return self._plus_time + self.guard_seconds
         return None
 
-    def close(self) -> None:
-        """Shut down any carrier (used when the deployment stops)."""
+    def close(self) -> int:
+        """Shut down any carrier (used when the deployment stops), and
+        return the bytes for the peer that it took with it."""
         self._drop_carrier()
+        dropped, self._dropped = self._dropped, 0
+        return dropped

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
 
 
 class TraceKind(enum.Enum):
@@ -35,12 +34,15 @@ class TraceKind(enum.Enum):
     DATA_DROPPED = "DataDropped"
 
 
-@dataclass(slots=True)
 class TraceEvent:
-    seq: int
-    timestamp: float
-    kind: TraceKind
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("seq", "timestamp", "kind", "detail")
+
+    def __init__(self, seq: int, timestamp: float, kind: TraceKind,
+                 detail: dict | None = None):
+        self.seq = seq
+        self.timestamp = timestamp
+        self.kind = kind
+        self.detail = {} if detail is None else detail
 
     def to_dict(self) -> dict:
         return {

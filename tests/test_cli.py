@@ -197,6 +197,16 @@ def test_daemon_subcommand_serves_until_sigterm(tmp_path):
     assert not sock.exists()
 
 
+def test_importing_the_cli_leaves_out_dataclasses_and_what_it_pulls_in():
+    # each fresh daemon would pay for them before its first request
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, proteus.cli; "
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=15)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("loads, code", [
     (["missing.yaml"], "malformed-manifest"),
     (["modem.yaml", "modem.yaml"], "duplicate-module-id"),

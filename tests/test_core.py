@@ -7,6 +7,8 @@ import itertools
 import os
 import random
 import select
+import socket
+import struct
 import time
 import tracemalloc
 
@@ -31,6 +33,7 @@ from proteus.errors import (
 )
 from proteus.ham import HamDescriptor, SimulatedFpga
 from proteus.manifest import Implementation, ModuleManifest
+from proteus.modem import Mode
 
 from conftest import FakeEndpoint, epoll_fds, make_manifest
 
@@ -143,6 +146,14 @@ def test_match_incompatible_raises():
     manifest = make_manifest("m", hardware_type="xilinx-v7")
     with pytest.raises(NoCompatibleImplementationError):
         Platform.match_implementation(manifest, DESCRIPTOR)
+
+
+def test_a_manifest_is_immutable():
+    # each deployment of a module shares its manifest
+    manifest = make_manifest("m")
+    with pytest.raises(AttributeError):
+        manifest.config = {}
+    assert ModuleManifest("m", "m", ()).config is not ModuleManifest("m", "m", ()).config
 
 
 def test_match_is_pure():
@@ -515,6 +526,51 @@ def test_output_without_an_application_side_is_counted_and_traced(
     assert drops == [{"deployment_id": dep, "bytes": 12, "where": "platform"}]
     entry, = platform.status()["deployments"]
     assert entry["bytes_dropped"] == 12
+
+
+@pytest.mark.parametrize("end", ["peer resets", "undeploy"])
+def test_bytes_a_carrier_holds_for_its_peer_are_counted_when_it_goes(
+        end, platform, endpoint_factory, sim_ham, tmp_path):
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # fills sooner
+        plan = tmp_path / "dial.plan"
+        plan.write_text(f"1 = tcp:127.0.0.1:{server.getsockname()[1]}\n")
+        platform.register_ham(sim_ham)
+        platform.load_module(make_manifest(config={"dial_plan": str(plan)}))
+        dep = platform.deploy("modem", "sim0")
+        deployment = platform._deployments[dep]
+        modem = deployment.runtime
+        handle = app_handle(endpoint_factory, "modem-sim0")
+        handle.write(b"ATE0\rATD1\r")
+        deadline = time.monotonic() + 5
+        try:
+            platform.pump(dep)  # dials; the connect's outcome wakes serve()
+            while modem.mode is not Mode.DATA:
+                assert time.monotonic() < deadline
+                platform.serve(0.01)
+            peer, _ = server.accept()
+            with peer:  # and never reads
+                while modem.accepts_input:  # until the carrier holds a chunk for the peer
+                    assert time.monotonic() < deadline
+                    handle.write(b"x" * 4096)
+                    platform.pump(dep)
+                held = len(modem.carrier.backlog)
+                seq = platform.trace.next_seq
+                if end == "undeploy":
+                    platform.undeploy(dep)
+                else:
+                    peer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                    peer.close()  # a reset, not a FIN
+                    while modem.carrier is not None:
+                        assert time.monotonic() < deadline
+                        platform.serve(0.01)
+        finally:
+            platform.shutdown()
+    assert held
+    drops = [e.detail for e in platform.trace.events(seq) if e.kind.value == "DataDropped"]
+    assert [d for d in drops if d["where"] == "carrier"] == [
+        {"deployment_id": dep, "bytes": held, "where": "carrier"}]
+    assert deployment.bytes_dropped == sum(d["bytes"] for d in drops)
 
 
 def test_undeploy_flushes_buffered_output(platform, endpoint_factory, sim_ham, shouter_manifest):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from proteus.errors import NotConfiguredError, UnknownBehaviorError
-from proteus.ham import BEHAVIORS, HardwareImage, SimulatedFpga
+from proteus.ham import BEHAVIORS, HamDescriptor, HardwareImage, SimulatedFpga
 
 
 def test_probe_reports_identity_and_type():
@@ -22,6 +22,14 @@ def test_probe_is_stable_across_calls():
     ham = SimulatedFpga()
     assert ham.probe() == ham.probe()
     assert ham.probe() is ham.probe()
+
+
+def test_a_descriptor_is_immutable():
+    # every caller of probe() gets the same one
+    desc = SimulatedFpga().probe()
+    with pytest.raises(AttributeError):
+        desc.ham_id = "other"
+    assert HamDescriptor("a", "t").resources is not HamDescriptor("a", "t").resources
 
 
 def test_process_before_configure_raises():

@@ -159,6 +159,14 @@ def test_parse_unknown_collapses_remainder():
     assert parse_at_line("ATE0S0=1") == [SetEcho(False), Unknown("S0=1")]
 
 
+def test_commands_equal_only_commands_of_their_own_type():
+    assert Dial("1") == Dial("1") and Hangup() == Hangup()
+    assert Hangup() != ResetDefaults()
+    assert Dial("1") != Unknown("1")
+    assert SetEcho(True) != Dial(True)
+    assert len({Dial("1"), Dial("1"), Unknown("1"), Hangup(), ResetDefaults()}) == 4
+
+
 def test_parse_is_case_insensitive():
     assert parse_at_line("ate0h") == [SetEcho(False), Hangup()]
 
@@ -427,6 +435,26 @@ def test_dial_plan_resolution_normalizes_dialstrings():
 
 def test_default_plan_loops_back_everything():
     assert DialPlan().resolve("8675309") == LoopbackTarget()
+
+
+def test_targets_equal_only_targets_of_their_own_type():
+    assert LoopbackTarget() == LoopbackTarget()
+    assert LoopbackTarget() != NoCarrierTarget()
+    assert TcpTarget("198.51.100.7", 2323) == TcpTarget("198.51.100.7", 2323)
+    assert hash(TcpTarget("198.51.100.7", 2323)) == hash(TcpTarget("198.51.100.7", 2323))
+    assert len({LoopbackTarget(), LoopbackTarget(), NoCarrierTarget()}) == 2
+
+
+def test_a_dial_plan_is_immutable_and_checks_its_dial_strings():
+    # the modems that dial by one plan file share it
+    plan = DialPlan({"1": NoCarrierTarget()})
+    with pytest.raises(AttributeError):
+        plan.default = NoCarrierTarget()
+    with pytest.raises(AttributeError):
+        plan.entries = {}
+    assert DialPlan().entries is not DialPlan().entries
+    with pytest.raises(MalformedDialPlanError):
+        DialPlan({"1a": LoopbackTarget()})
 
 
 @pytest.mark.parametrize("doc", [

@@ -213,7 +213,7 @@ def calls_per_request(served: Served, request: bytes, reply: bytes, count: int =
     calls = 0
     for entry in profile.getstats():
         code = entry.code
-        # a dataclass's generated __init__ is compiled from "<string>"
+        # a NamedTuple's generated __new__ is compiled from "<string>"
         if not isinstance(code, str) and (code.co_filename.startswith(PACKAGE)
                                           or code.co_filename == "<string>"):
             calls += entry.callcount
