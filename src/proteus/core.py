@@ -12,9 +12,13 @@ TCP carrier) and on one absolute deadline, the earliest pass that no fd
 announces.  They are worked out on deploy and undeploy, and at the end
 of a pass after which the endpoint's or the module's ``version`` has
 moved on.  The platform keeps them itself: the fds on its one epoll, the
-deadlines in a dict.  Deadlines are few: only an endpoint with no client
-or a withdrawn one, and a modem's guard time and connect timeout, set
-any.  Other fds share that epoll through
+deadlines in a dict.  Deadlines are few, and none is a poll: only an
+endpoint with no client, a withdrawn endpoint's ``DRAIN_WAIT``, and a
+modem's guard time and connect timeout set any.  A stopped deployment
+whose client still reads the tail keeps its PTY master on the epoll
+until it closes it; a module whose output the platform has no room for
+waits on nothing until the master reports room.  Other fds share that
+epoll through
 :meth:`Platform.add_reader`; the daemon's wake pipe, control listener
 and control connections do.  :meth:`Platform.serve` makes one
 ``epoll_wait`` per wake-up: it runs the ready readers' handlers, then the
@@ -45,7 +49,7 @@ from typing import Callable
 
 from .channel import ChannelHandle, create_duplex
 from .control import EncodedDict
-from .endpoint import BACKLOG_POLL, PtyEndpoint, SparePty
+from .endpoint import PtyEndpoint, SparePty
 from .errors import (
     ConfigureFailedError,
     DeploymentNotActiveError,
@@ -92,9 +96,11 @@ class IdentityRuntime:
     ``feed`` takes what the hardware produced, ``carrier_pump`` what no
     input brings while ``carrier`` is not None, and both return a
     :class:`~proteus.modem.FeedResult`.  ``watch``, ``deadline`` and
-    ``accepts_input`` are looked at again once ``version`` moves on.
-    ``close`` returns the bytes for the peer that the carrier took with
-    it.  This one has no carrier, always takes input and never changes.
+    ``accepts_input`` are looked at again once ``version`` moves on;
+    ``watch`` and ``deadline`` only while the platform has room for the
+    module's output.  ``close`` returns the bytes for the peer that the
+    carrier took with it.  This one has no carrier, always takes input
+    and never changes.
     """
 
     carrier = None
@@ -104,7 +110,7 @@ class IdentityRuntime:
     def feed(self, data: bytes) -> FeedResult:
         return FeedResult(data)
 
-    def watch(self, room: bool) -> None:
+    def watch(self) -> None:
         return None
 
     def deadline(self) -> float | None:
@@ -408,7 +414,7 @@ class Platform:
         self.pump(deployment_id)  # final flush; raises unless it is active
         deployment = self._deployments[deployment_id]
         deployment.state = DeploymentState.STOPPING
-        self._watch(deployment_id, {})  # while its fds are still open
+        self._watch(deployment_id, ())  # while its fds are still open
         # what the channel holds for the module, module output it had no
         # room for, and what the module's carrier holds for the peer go
         # with them
@@ -421,7 +427,8 @@ class Platform:
         if deployment.endpoint.withdraw():
             # the client reads the tail on its own time, not the loop's
             self._draining[deployment_id] = deployment.endpoint
-            deadline = deployment.endpoint.watch()[1]
+            master, deadline = deployment.endpoint.watch()
+            self._watch(deployment_id, (master,))
         self._set_deadline(deployment_id, deadline)
         deployment.platform_handle.close()
         _, ham = self._hams[deployment.ham_id]
@@ -552,10 +559,9 @@ class Platform:
 
     def _linger(self, deployment_id: str, endpoint: PtyEndpoint) -> None:
         """Look at the client of a stopped deployment's withdrawn endpoint."""
-        if endpoint.linger():
-            self._set_deadline(deployment_id, endpoint.watch()[1])
-        else:
+        if not endpoint.linger():
             del self._draining[deployment_id]
+            self._watch(deployment_id, ())  # its master left the epoll as it closed
             self._set_deadline(deployment_id, None)
 
     # -- what a loop waits on --------------------------------------------------
@@ -570,8 +576,8 @@ class Platform:
     def timeout(self) -> float | None:
         """Seconds until the earliest deadline, or None: the platform then
         waits on :meth:`fileno` alone.  Endpoints set deadlines to look for
-        a client and to watch a withdrawn client read its tail; the modem,
-        for its escape guard time and connect timeout.
+        a client and to stop waiting for a withdrawn client to read its
+        tail; the modem, for its escape guard time and connect timeout.
         """
         if not self._deadlines:
             return None
@@ -584,9 +590,9 @@ class Platform:
         platform down, run one pass through :meth:`pump` of each deployment
         whose fd is ready or whose deadline has come.  A stopped deployment
         whose client still reads the tail gets a look at that client
-        instead.  A due pass that leaves its deadline as it was is looked
-        at again after ``BACKLOG_POLL``, not at once.  Last, if no handler
-        was called and a deploy has taken the spare PTY, open another."""
+        instead.  Each pass or look at a deadline moves that deadline on.
+        Last, if no handler was called and a deploy has taken the spare
+        PTY, open another."""
         wait = self.timeout() if self._deadlines else None
         if wait is not None and (timeout is None or wait < timeout):
             timeout = wait
@@ -606,15 +612,13 @@ class Platform:
         now = time.monotonic()
         for deployment_id, deadline in self._deadlines.items():
             if deadline <= now:
-                due[deployment_id] = deadline
-        for deployment_id, deadline in due.items():
+                due[deployment_id] = None
+        for deployment_id in due:
             endpoint = self._draining.get(deployment_id)
             if endpoint is None:
                 self.pump(deployment_id)
             else:
                 self._linger(deployment_id, endpoint)
-            if deadline is not None and self._deadlines.get(deployment_id) == deadline:
-                self._set_deadline(deployment_id, time.monotonic() + BACKLOG_POLL)
         if not answered and self._spare is not None and self._spare.wanted:
             # not right behind a reply: the request that follows it would wait
             self._spare.refill()
@@ -639,22 +643,24 @@ class Platform:
         room = len(deployment.out_pending) < self._capacity
         deployment.seen = (endpoint.version, runtime.version, room)
         master, deadline = endpoint.watch()
-        fds = {holder.fileno(): (events, holder)
-               for holder, events in filter(None, (master, runtime.watch(room)))}
+        module = None
         # output held back behind a full channel waits for the endpoint to
         # read the channel, which it does once the master reports room
-        # (EPOLLOUT) for the output it holds back itself
-        due = runtime.deadline()
-        if due is not None and (deadline is None or due < deadline):
-            deadline = due
-        self._watch(deployment.deployment_id, fds)
+        # (EPOLLOUT) for the output it holds back itself; until then no
+        # pass calls the module, so it waits on nothing
+        if room:
+            module, due = runtime.watch(), runtime.deadline()
+            if due is not None and (deadline is None or due < deadline):
+                deadline = due
+        self._watch(deployment.deployment_id, (master, module))
         self._set_deadline(deployment.deployment_id, deadline)
 
-    def _watch(self, deployment_id: str, fds: dict[int, tuple[int, object]]) -> None:
-        """Keep the epoll registrations of ``deployment_id`` to ``fds``,
-        which maps each fd to (epoll events, holder), the object that
-        owns it.  Once a holder closes, a new one may get the same
-        number, which is registered afresh."""
+    def _watch(self, deployment_id: str, watched: tuple) -> None:
+        """Keep the epoll registrations of ``deployment_id`` to the
+        (holder, epoll events) pairs in ``watched``, where a holder is the
+        object that owns its fd, and None is none.  Once a holder closes,
+        a new one may get the same number, which is registered afresh."""
+        fds = {holder.fileno(): (events, holder) for holder, events in filter(None, watched)}
         old = self._watched.get(deployment_id, {})
         if fds == old:
             return
@@ -738,18 +744,22 @@ class Platform:
         }
 
     def shutdown(self) -> None:
-        """Undeploy everything that is still active, wait, within each
-        endpoint's ``DRAIN_WAIT``, for clients to read their tails, and
-        close the spare PTY and the epoll.  This is final: the platform
-        cannot be served or deploy again."""
+        """Undeploy everything that is still active, take the readers off
+        the epoll, close the spare PTY, and serve until each client has
+        read its tail or its endpoint's ``DRAIN_WAIT`` has passed; then
+        close the epoll.  This is final: the platform cannot be served or
+        deploy again."""
         # undeploying can activate a queued deployment, which goes too
         while self._occupant:
             self.undeploy(next(iter(self._occupant.values())))
-        while self._draining:
-            time.sleep(BACKLOG_POLL)
-            for deployment_id, endpoint in list(self._draining.items()):
-                self._linger(deployment_id, endpoint)
+        for fd in self._readers:
+            try:
+                self._epoll.unregister(fd)
+            except OSError:
+                pass  # closed by its owner, which took it off the epoll
+        self._readers.clear()  # a reader ready in this wake-up is not called
         if self._spare is not None:
             self._spare.close()
-        self._readers.clear()  # a reader ready in this wake-up is not called
+        while self._draining:
+            self.serve(None)
         self._epoll.close()

@@ -34,8 +34,10 @@ while input is held back, which leaves its last bytes unread.
 and the deadline of the next pass no readiness announces; both change
 only when ``PtyEndpoint.version`` moves on.  Withdrawing unpublishes the
 node at once and takes no more input.  While an attached client has not
-read its tail the master stays open, and :meth:`PtyEndpoint.linger`
-closes it once the client has caught up or ``DRAIN_WAIT`` has passed.
+read its tail the master stays open, watched for ``EPOLLOUT`` edges:
+the client's reads wake the master's writers, and its close hangs the
+master up.  :meth:`PtyEndpoint.linger` looks at each edge, and closes the
+master once the client has caught up or ``DRAIN_WAIT`` has passed.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ TTY_WRITE_PIECE = 2048
 # a master reports hangup, not readiness, while no client holds the
 # node open, so attachment is sampled on a timer instead of watched
 ATTACH_SAMPLE = 0.05
-# how often a withdrawn endpoint looks whether its client has read the
-# tail, which no readiness of the master announces; the platform also
-# waits this long before it runs again a due pass that left its deadline
-BACKLOG_POLL = 0.01
 # how long a withdrawn endpoint lets an attached client read the tail
 DRAIN_WAIT = 0.25
 
@@ -128,6 +126,8 @@ class SparePty:
             logger.debug("no spare PTY: %s", exc)
 
     def close(self) -> None:
+        """Close the spare, and want no other."""
+        self.wanted = False
         if self._pty is not None:
             os.close(self._pty[0])
             self._pty = None
@@ -192,7 +192,6 @@ class PtyEndpoint:
         self._attached = False
         self._sessions = 0
         self._sampled_at = time.monotonic()
-        self._retry_at = 0.0  # when a withdrawn endpoint's client is looked at
         self._drain_until: float | None = None  # set once withdrawn
         self.bytes_from_app = 0
         self.bytes_to_app = 0
@@ -213,17 +212,18 @@ class PtyEndpoint:
         A readable master counts as attached even once hung up: a client
         that wrote and closed the node between two samples had a session,
         and the read that finds its bytes gone ends it.  While input is
-        held back, though, no read can take those bytes, and a hung-up
-        master counts as detached; its last bytes then count as a session
-        of their own once they can be read.
+        held back, though, or once the endpoint is withdrawn, no read can
+        take those bytes, and a hung-up master counts as detached; held
+        back, its last bytes then count as a session of their own once
+        they can be read.
         """
         if self._master < 0:
             return False
         events = self._poller.poll(0)
         flags = events[0][1] if events else 0
         readable = bool(flags & select.POLLIN)
-        self._set_attached(not flags & select.POLLHUP
-                           or readable and not self._in_pending)
+        self._set_attached(not flags & select.POLLHUP or (
+            readable and not self._in_pending and self._handle is not None))
         if not self._attached:
             self._sampled_at = time.monotonic()
             self.version += 1  # the next sample is due later
@@ -336,11 +336,12 @@ class PtyEndpoint:
         events that call for a pass: ``EPOLLIN`` while input can be taken
         and ``EPOLLOUT`` while a full PTY holds output back; None when
         there are none.  Else the deadline: when, on ``time.monotonic``,
-        a pass is due that no readiness of the master announces, that is
-        the next attach sample, or the next look at a withdrawn
-        endpoint's client."""
+        the next attach sample is due, which no readiness of the master
+        announces.  A withdrawn endpoint's master calls for a
+        :meth:`linger` look on each ``EPOLLOUT`` edge, and at the
+        deadline ``DRAIN_WAIT`` sets."""
         if self._drain_until is not None:
-            return None, self._retry_at
+            return (self, select.EPOLLOUT | select.EPOLLET), self._drain_until
         if not self._attached:
             return None, self._sampled_at + ATTACH_SAMPLE
         events = (0 if self._in_pending else select.EPOLLIN) | (
@@ -398,9 +399,7 @@ class PtyEndpoint:
         ``DRAIN_WAIT`` has passed.  True while the master stays open; a
         connected client observes hangup once it closes."""
         self._pump_outbound()
-        now = time.monotonic()
-        if now < self._drain_until and self._client_behind():
-            self._retry_at = min(now + BACKLOG_POLL, self._drain_until)
+        if time.monotonic() < self._drain_until and self._client_behind():
             return True
         os.close(self._master)
         self._master = -1

@@ -11,8 +11,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-import yaml
-
 from .errors import MalformedManifestError
 
 
@@ -102,6 +100,8 @@ def load_manifest(path: str) -> ModuleManifest:
     A relative ``dial_plan`` config path is resolved against the
     manifest's own directory, so a module can ship both files together.
     """
+    import yaml  # here, not at the top: a client command never parses YAML
+
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

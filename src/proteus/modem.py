@@ -521,9 +521,10 @@ class Modem:
             self._feed_command(data, result)
 
     def _check_escape(self, result: FeedResult) -> None:
-        # three withheld '+' followed by guard silence complete the escape
+        # three withheld '+' followed by guard silence complete the escape;
+        # the sum is the one deadline() returns, so a pass at it completes it
         if (self.mode is Mode.DATA
-                and self.clock() - self._plus_time >= self.guard_seconds):
+                and self.clock() >= self._plus_time + self.guard_seconds):
             self._plus_count = 0
             self.mode = Mode.COMMAND  # carrier stays up, Hayes-style
             self._changed()
@@ -676,19 +677,19 @@ class Modem:
         if held:
             self._consume(held, result)
 
-    def watch(self, room: bool) -> tuple[TcpCarrier, int] | None:
+    def watch(self) -> tuple[TcpCarrier, int] | None:
         """The TCP carrier and the ``select.EPOLL*`` events on its fd that
         call for :meth:`carrier_pump`; None when there are none.
 
         That is the outcome of a pending connect, room for the backlog,
-        and, in data mode while ``room`` says the output can take more,
-        received bytes.
+        and, in data mode, received bytes.  Wait on them only while the
+        modem's output has room: :meth:`carrier_pump` needs it.
         """
         carrier = self.carrier
         if not isinstance(carrier, TcpCarrier):
             return None
         online = self.mode is Mode.DATA
-        events = select.EPOLLIN if online and room else 0
+        events = select.EPOLLIN if online else 0
         if self._dial_event is not None or online and carrier.backlog:
             events |= select.EPOLLOUT
         return (carrier, events) if events else None

@@ -198,10 +198,11 @@ def test_daemon_subcommand_serves_until_sigterm(tmp_path):
 
 
 def test_importing_the_cli_leaves_out_dataclasses_and_what_it_pulls_in():
-    # each fresh daemon would pay for them before its first request
+    # each fresh daemon would pay for them before its first request, and
+    # each client command for yaml, which only loading a manifest needs
     run = subprocess.run(
         [sys.executable, "-c", "import sys, proteus.cli; "
-         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"],
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'yaml'} & set(sys.modules)))"],
         capture_output=True, text=True, timeout=15)
     assert run.returncode == 0, run.stderr
     assert run.stdout == "[]\n"

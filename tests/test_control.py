@@ -45,7 +45,7 @@ from proteus.ham import SimulatedFpga
 from proteus.manifest import Implementation, ModuleManifest
 from proteus.modem import GUARD_SECONDS, DialPlan, Mode, Modem, TcpTarget
 
-from conftest import FakeEndpointFactory, epoll_fds, make_manifest
+from conftest import FakeEndpointFactory, epoll_events, epoll_fds, make_manifest
 
 
 # ---------------------------------------------------------------------------
@@ -1250,7 +1250,7 @@ def test_undeployed_deployment_leaves_no_fd_on_the_platform_epoll(tmp_path):
             # the client has not read CONNECT, so its master stays open a while
             platform.undeploy(dep)
             assert platform._draining  # the master lingers for the client
-            assert epoll_fds(platform) == set()
+            assert epoll_events(platform) == {master: select.EPOLLOUT}
             platform.serve()
             assert read_until(client, b"CONNECT\r\n").endswith(b"CONNECT\r\n")
             assert serve_until(platform, lambda: not platform._draining)

@@ -333,6 +333,19 @@ def test_escape_requires_silence_on_both_sides():
     assert modem.deadline() is None
 
 
+def test_escape_completes_at_the_very_deadline_it_gives():
+    # plus_time + guard - plus_time is 0.9999999999990905 here: the guard
+    # test must add, as deadline() does, or a pass at the deadline misses it
+    clock = FakeClock(8000.0)
+    modem = fresh_modem(clock=clock)
+    modem.feed(b"ATD5551234\r")
+    clock.now = 8191.818381712773
+    modem.feed(b"+++")
+    clock.now = modem.deadline()
+    assert responses(modem.carrier_pump().to_app) == [OK]
+    assert modem.mode is Mode.COMMAND
+
+
 def test_escape_completes_via_feed_as_well():
     # if the next keystrokes arrive after the guard, the pending escape
     # wins before they are interpreted

@@ -1,13 +1,17 @@
 """The pump pass as a real PTY client sees it through ``Platform.serve()``:
-the bytes it gets back, what one request costs in Python calls, and what
-an undeploy throws away."""
+the bytes it gets back, what one request costs in Python calls, what a
+client or a TCP peer that pauses costs in passes, and what an undeploy
+throws away.  ``tests/wakeups.py`` reports those passes per second from
+the same scenes."""
 
 from __future__ import annotations
 
 import cProfile
+import errno
 import os
 import select
 import shutil
+import socket
 import tempfile
 import time
 from pathlib import Path
@@ -17,13 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import proteus
+from proteus import endpoint as endpoint_module
 from proteus.core import Platform
 from proteus.endpoint import ATTACH_SAMPLE, DRAIN_WAIT
 from proteus.ham import SimulatedFpga
-from proteus.modem import Modem
+from proteus.modem import Mode, Modem
 from proteus.trace import TraceKind
 
-from conftest import make_manifest
+from conftest import epoll_fds, make_manifest
 
 PACKAGE = str(Path(proteus.__file__).parent)
 
@@ -32,11 +37,11 @@ class Served:
     """One deployment on a real platform and its PTY client, served the
     way the daemon serves it."""
 
-    def __init__(self, root: Path, module: str):
+    def __init__(self, root: Path, module: str, config: dict | None = None):
         self.platform = Platform(runtime_dir=root)
         self.platform.register_ham(SimulatedFpga("sim0", "sim-fpga-v1"))
         if module == "modem":
-            self.platform.load_module(make_manifest())
+            self.platform.load_module(make_manifest(config=config))
         else:
             self.platform.load_module(make_manifest("shouter", "identity", "upper"))
         self.dep = self.platform.deploy(module, "sim0")
@@ -91,23 +96,32 @@ class Served:
         return sent
 
     def passes(self, seconds: float) -> int:
-        """How many passes the deployment gets while the platform is
-        served, as the daemon serves it, for ``seconds``."""
-        platform, pump, count = self.platform, self.platform.pump, 0
+        """How many passes the deployment gets, or looks at its client
+        once it has stopped, while the platform is served, as the daemon
+        serves it, for ``seconds``."""
+        platform, count = self.platform, 0
 
-        def counted(deployment_id):
-            nonlocal count
-            count += deployment_id == self.dep
-            return pump(deployment_id)
+        def counting(method):
+            def counted(deployment_id, *args):
+                nonlocal count
+                count += deployment_id == self.dep
+                return method(deployment_id, *args)
+            return counted
 
-        platform.pump = counted
+        platform.pump, platform._linger = counting(platform.pump), counting(platform._linger)
         try:
             end = time.monotonic() + seconds
             while (left := end - time.monotonic()) > 0:
                 platform.serve(left)
         finally:
-            del platform.pump
+            del platform.pump, platform._linger
         return count
+
+    def serve_until(self, done, what: str) -> None:
+        deadline = time.monotonic() + 5
+        while not done():
+            assert time.monotonic() < deadline, f"the platform did not {what}"
+            self.platform.serve(0.01)
 
     def close(self) -> None:
         os.close(self.fd)
@@ -125,6 +139,95 @@ def served(tmp_path):
     yield serve
     for each in opened:
         each.close()
+
+
+# ---------------------------------------------------------------------------
+# scenes in which a deployment has nothing to move, shared with tests/wakeups.py
+
+FLOOD = bytes(range(256)) * 1024  # what a TCP peer sends the client
+
+
+def lingering(served: Served) -> None:
+    """The client is sent 100 bytes it does not read, and the deployment
+    stops: its master lingers for the client to read them."""
+    os.write(served.fd, b"x" * 100)
+    endpoint = served.deployment.endpoint
+    served.serve_until(lambda: endpoint.bytes_to_app == 100, "answer")
+    served.platform.undeploy(served.dep)
+    assert served.platform._draining
+
+
+def called(root: Path, buffer: int | None = None) -> tuple[Served, socket.socket]:
+    """A modem deployment in a TCP call, and the peer's socket, which
+    does not block; ``buffer`` sets the peer's receive buffer and the
+    carrier's send buffer, which loopback TCP would grow to megabytes."""
+    with socket.socket() as listener:
+        if buffer is not None:  # before listen(), so the window fits it
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        plan = root / "plan.conf"
+        plan.write_text(f"1 = tcp:127.0.0.1:{listener.getsockname()[1]}\n")
+        served = Served(root, "modem", config={"dial_plan": str(plan)})
+        served.send(b"ATE0\rATD1\r")
+        want = b"ATE0\r\r\nOK\r\n\r\nCONNECT\r\n"
+        assert served.receive(len(want)) == want
+        peer, _ = listener.accept()
+    if buffer is not None:
+        served.deployment.runtime.carrier._sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, buffer)
+    peer.setblocking(False)
+    served.got.clear()
+    return served, peer
+
+
+def flood(served: Served, peer: socket.socket) -> int:
+    """The peer sends ``FLOOD`` until the platform has no room for the
+    modem's output; returns what it sent."""
+    sent, out = 0, served.deployment.out_pending
+    deadline = time.monotonic() + 5
+    while len(out) < served.platform._capacity:
+        assert time.monotonic() < deadline, "the output did not fill"
+        try:
+            sent += peer.send(FLOOD[sent:])
+        except BlockingIOError:
+            pass
+        served.platform.serve(0.01)
+    return sent
+
+
+def drain(peer: socket.socket) -> bytes:
+    """What the peer receives until nothing comes for 50 ms."""
+    got = bytearray()
+    while select.select([peer], [], [], 0.05)[0]:
+        got += peer.recv(65536)
+    return bytes(got)
+
+
+def escape_withheld(root: Path) -> tuple[Served, socket.socket, int]:
+    """A withheld ``+++`` whose guard time (0.1 s) ends while the output
+    is full; returns the call, the peer, and what the peer sent."""
+    served, peer = called(root)
+    runtime = served.deployment.runtime
+    runtime.guard_seconds = 0.1
+    time.sleep(0.15)  # the guard silence before the escape
+    served.send(b"+++")
+    assert runtime._plus_count == 3
+    sent = flood(served, peer)
+    assert runtime.mode is Mode.DATA  # the output filled within the guard time
+    return served, peer, sent
+
+
+def peer_drained(root: Path) -> tuple[Served, socket.socket, int, int, bytes]:
+    """A call whose carrier holds a backlog for the peer, and whose
+    output is full, once the peer has read what reached it; returns the
+    call, the peer, what the client and the peer sent, and what the
+    peer received."""
+    served, peer = called(root, buffer=4096)
+    sent = served.fill(served.platform.serve)
+    assert served.deployment.runtime.carrier.backlog
+    flooded = flood(served, peer)
+    return served, peer, sent, flooded, drain(peer)
 
 
 def parsed(platform) -> list[dict]:
@@ -265,6 +368,84 @@ def test_a_client_that_closes_with_both_directions_held_back_detaches(served):
     assert not endpoint._attached
     # attachment is sampled again, no more often than that
     assert shouter.passes(1.0) <= 1.0 / ATTACH_SAMPLE + 5
+
+
+def test_a_lingering_client_that_does_not_read_costs_no_looks(served, monkeypatch):
+    monkeypatch.setattr(endpoint_module, "DRAIN_WAIT", 5.0)  # no end of it in this test
+    shouter = served("shouter")
+    platform = shouter.platform
+    lingering(shouter)
+    assert shouter.passes(0.2) <= 2
+    # the client reads the tail, which wakes the platform once
+    shouter.read()
+    assert bytes(shouter.got) == b"X" * 100
+    platform.serve(0)
+    assert not platform._draining
+    assert select.select([shouter.fd], [], [], 1.0)[0]  # hung up: EOF, or EIO
+    try:
+        assert os.read(shouter.fd, 1) == b""
+    except OSError as exc:
+        assert exc.errno == errno.EIO
+    assert epoll_fds(platform) == set()
+    assert platform.timeout() is None
+
+
+def test_a_lingering_client_that_writes_and_closes_is_let_go_at_once(served, monkeypatch):
+    # its input is never read, so the master stays readable; only the
+    # hangup tells it has gone, and a look that opened the slave to
+    # find its tail unread would wake the master's writers again
+    monkeypatch.setattr(endpoint_module, "DRAIN_WAIT", 5.0)
+    shouter = served("shouter")
+    lingering(shouter)
+    os.write(shouter.fd, b"late")
+    os.close(shouter.fd)
+    shouter.fd = os.open(os.devnull, os.O_RDONLY)  # for close()
+    assert shouter.passes(0.2) <= 2
+    assert not shouter.platform._draining
+
+
+def test_a_drained_peer_and_a_client_that_does_not_read_cost_no_passes(tmp_path):
+    # the client does not read, so the modem gets no room for output, and
+    # the carrier's room for its backlog cannot call for a pass
+    served, peer, sent, flooded, received = peer_drained(tmp_path)
+    try:
+        assert served.passes(0.5) <= 5
+        # the client reads again: every byte arrives, both ways
+        deadline = time.monotonic() + 10
+        while (len(served.got) < flooded or len(received) < sent) and (
+                time.monotonic() < deadline):
+            served.platform.serve(0.01)
+            served.read()
+            try:
+                received += peer.recv(65536)
+            except BlockingIOError:
+                pass
+        assert bytes(served.got) == FLOOD[:flooded]
+        assert received == b"x" * sent
+        assert served.deployment.bytes_dropped == served.deployment.endpoint.bytes_dropped == 0
+    finally:
+        peer.close()
+        served.close()
+
+
+def test_an_escape_whose_guard_time_ends_without_output_room_costs_no_passes(tmp_path):
+    served, peer, sent = escape_withheld(tmp_path)
+    try:
+        assert served.passes(0.5) == 0
+        # the client reads again: what the modem took from the peer, then
+        # the escape's answer
+        deadline = time.monotonic() + 5
+        while not served.got.endswith(b"\r\nOK\r\n") and time.monotonic() < deadline:
+            served.platform.serve(0.01)
+            served.read()
+        data = bytes(served.got[:-len(b"\r\nOK\r\n")])
+        assert served.got == FLOOD[:len(data)] + b"\r\nOK\r\n"
+        assert len(data) >= served.platform._capacity
+        assert served.deployment.runtime.mode is Mode.COMMAND
+        assert served.deployment.bytes_dropped == 0
+    finally:
+        peer.close()
+        served.close()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ after waiting on its fd for no longer than its timeout, exactly as an
 event loop does.  After every step the platform's epoll holds exactly
 the masters of the attached clients of active deployments, each for
 ``EPOLLIN`` while it can take input and for ``EPOLLOUT`` while it holds
-output back, and none for neither.  Every byte a client reads is the
+output back, and none for neither, and the master of each stopped
+deployment whose client still reads its tail, for ``EPOLLOUT``.  Every byte a client reads is the
 upper-cased byte it sent at that place in its stream.  Once a client
 settles, every byte it sent has come back or is counted as dropped; if
 its deployment was undeployed, that holds for every byte the platform
@@ -245,6 +246,8 @@ class PlatformMachine(RuleBasedStateMachine):
                 select.EPOLLOUT if endpoint._out_pending else 0)
             if endpoint._attached and events:
                 expected[endpoint._master] = events
+        for endpoint in self.platform._draining.values():
+            expected[endpoint._master] = select.EPOLLOUT
         assert epoll_events(self.platform) == expected
 
     def teardown(self):
