@@ -37,6 +37,7 @@ that found none, out of fds for one, opens its PTY itself.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import logging
@@ -44,11 +45,12 @@ import select
 import time
 from collections import deque
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
 from .channel import ChannelHandle, create_duplex
-from .control import EncodedDict
+from .control import EncodedDict, EncodedList, encoded, frozen
 from .endpoint import PtyEndpoint, SparePty
 from .errors import (
     ConfigureFailedError,
@@ -163,7 +165,9 @@ class Deployment:
         # (endpoint version, runtime version, output room) when last watched
         self.seen = seen
 
-    def status_entry(self) -> dict:
+    def status_entry(self) -> EncodedDict:
+        """This deployment's ``status`` entry, with its text; an active
+        one's holds its endpoint's, sampled now."""
         entry = {
             "deployment_id": self.deployment_id,
             "module_id": self.module_id,
@@ -171,10 +175,14 @@ class Deployment:
             "state": self.state.value,
             "policy": self.policy.value,
         }
-        if self.endpoint is not None and self.state is DeploymentState.ACTIVE:
-            entry["endpoint"] = self.endpoint.snapshot()
-            entry["bytes_dropped"] = self.bytes_dropped
-        return entry
+        text = ('{"deployment_id": %s, "module_id": %s, "ham_id": %s, "state": %s, '
+                '"policy": %s' % tuple(map(encode_basestring_ascii, entry.values()))).encode()
+        if self.endpoint is None or self.state is not DeploymentState.ACTIVE:
+            return EncodedDict(entry, text + b"}")
+        entry["endpoint"] = endpoint = self.endpoint.snapshot()
+        entry["bytes_dropped"] = self.bytes_dropped
+        return EncodedDict(entry, b'%s, "endpoint": %s, "bytes_dropped": %d}' % (
+            text, encoded(endpoint), self.bytes_dropped))
 
 
 class Tombstone:
@@ -195,10 +203,68 @@ class Tombstone:
     @classmethod
     def of(cls, deployment: Deployment) -> Tombstone:
         return cls(deployment.deployment_id, deployment.module_id, deployment.ham_id,
-                   deployment.policy, EncodedDict(deployment.status_entry()))
+                   deployment.policy, deployment.status_entry())
 
-    def status_entry(self) -> EncodedDict:
-        return self.entry
+
+def _number(deployment_id: str) -> int:
+    return int(deployment_id[1:])  # "d<n>"
+
+
+class StoppedEntries:
+    """The kept tombstones' ``status`` entries in id order, and their
+    texts joined by ``", "`` into one, so that ``status`` lists them with
+    no work of its own per entry.
+
+    A deployment usually stops after every one with a lower id has, so
+    its entry usually goes last, which copies the text once; and the
+    oldest stopped usually has the lowest id, so evicting it costs
+    nothing until the next entry drops its text.  Otherwise the text is
+    joined afresh.
+    """
+
+    def __init__(self):
+        self.numbers: list[int] = []  # of the entries' ids, ascending
+        self.entries: list[EncodedDict] = []
+        self.text = b""  # may begin with an evicted entry's text
+        self.starts: list[int] = []  # where each entry's text starts, less origin
+        self.origin = 0  # where text starts
+
+    def add(self, deployment_id: str, entry: EncodedDict) -> None:
+        number = _number(deployment_id)
+        i = bisect.bisect(self.numbers, number)
+        self.numbers.insert(i, number)
+        self.entries.insert(i, entry)
+        if i < len(self.numbers) - 1:
+            self._join()
+        elif i == 0:  # the only one
+            self.text, self.starts, self.origin = entry.json, [0], 0
+        else:
+            kept = memoryview(self.text)[self.starts[0] - self.origin:]
+            self.starts.append(self.origin + len(self.text) + 2)
+            self.origin = self.starts[0]
+            self.text = b"".join((kept, b", ", entry.json))
+
+    def remove(self, deployment_id: str) -> None:
+        i = bisect.bisect_left(self.numbers, _number(deployment_id))
+        del self.numbers[i], self.entries[i], self.starts[i]
+        if i > 0 or not self.entries:
+            self._join()
+
+    def _join(self) -> None:
+        texts = [entry.json for entry in self.entries]
+        self.text = b", ".join(texts)
+        self.starts = list(itertools.accumulate((len(text) + 2 for text in texts),
+                                                initial=0))[:-1]
+        self.origin = 0
+
+    def position(self, deployment_id: str) -> int:
+        """How many of the entries list before ``deployment_id``."""
+        return bisect.bisect(self.numbers, _number(deployment_id))
+
+    def text_of(self, start: int, end: int):
+        """The text of the entries from ``start`` up to ``end``, uncopied."""
+        last = len(self.text) if end == len(self.starts) else self.starts[end] - self.origin - 2
+        return memoryview(self.text)[self.starts[start] - self.origin:last]
 
 
 class PumpProgress:
@@ -240,10 +306,17 @@ class Platform:
         self._endpoint_factory = endpoint_factory
         self._hams: dict[str, tuple[HamDescriptor, Ham]] = {}
         self._modules: dict[str, ModuleManifest] = {}
-        # in id order; a stopped one is a tombstone until MAX_TOMBSTONES
-        # later ones push it out
+        # a stopped one is a tombstone until MAX_TOMBSTONES later ones
+        # push it out
         self._deployments: dict[str, Deployment | Tombstone] = {}
+        self._live: dict[str, Deployment] = {}  # those not stopped, in id order
         self._tombstones: deque[str] = deque()  # ids, oldest stopped first
+        self._stopped = StoppedEntries()  # the tombstones' status entries
+        # parts of the status kept encoded until they change (see status):
+        # each ham's fields that registering fixes, with their text
+        self._ham_heads: list[tuple[EncodedDict, bytes]] | None = None
+        self._hams_status: tuple[tuple, EncodedList] | None = None  # (occupancy, hams)
+        self._modules_status: EncodedList | None = None
         self._occupant: dict[str, str] = {}  # ham_id -> active deployment_id
         self._queues: dict[str, deque[str]] = {}
         self._ids = itertools.count()
@@ -269,6 +342,7 @@ class Platform:
             raise DuplicateHamError(f"ham already registered: {descriptor.ham_id}")
         self._hams[descriptor.ham_id] = (descriptor, ham)
         self._queues.setdefault(descriptor.ham_id, deque())
+        self._ham_heads = None
         self.trace.emit(TraceKind.HAM_REGISTERED,
                         ham_id=descriptor.ham_id,
                         hardware_type=descriptor.hardware_type)
@@ -283,6 +357,7 @@ class Platform:
                     f"implementations[{i}].behavior {impl.behavior!r} is not a "
                     f"known module behavior ({', '.join(sorted(RUNTIME_BEHAVIORS))})")
         self._modules[manifest.module_id] = manifest
+        self._modules_status = None
         self.trace.emit(TraceKind.MODULE_LOADED,
                         module_id=manifest.module_id,
                         display_name=manifest.display_name)
@@ -353,6 +428,7 @@ class Platform:
             policy=policy,
         )
         self._deployments[deployment.deployment_id] = deployment
+        self._live[deployment.deployment_id] = deployment
         return deployment
 
     def _activate(self, deployment: Deployment) -> None:
@@ -456,11 +532,17 @@ class Platform:
 
     def _bury(self, deployment: Deployment) -> None:
         """Replace a deployment that is done with its tombstone."""
+        deployment_id = deployment.deployment_id
         deployment.state = DeploymentState.STOPPED
-        self._deployments[deployment.deployment_id] = Tombstone.of(deployment)
-        self._tombstones.append(deployment.deployment_id)
+        tombstone = Tombstone.of(deployment)
+        self._deployments[deployment_id] = tombstone
+        del self._live[deployment_id]
+        self._tombstones.append(deployment_id)
+        self._stopped.add(deployment_id, tombstone.entry)
         if len(self._tombstones) > MAX_TOMBSTONES:
-            del self._deployments[self._tombstones.popleft()]
+            evicted = self._tombstones.popleft()
+            del self._deployments[evicted]
+            self._stopped.remove(evicted)
 
     # -- data path -----------------------------------------------------------
 
@@ -713,35 +795,89 @@ class Platform:
         """Snapshot of hams, modules, deployments, and queue depths.
 
         Deployments are listed in id order; of the stopped ones, only the
-        last ``MAX_TOMBSTONES`` are kept.  A stopped one's entry is a
-        read-only :class:`~proteus.control.EncodedDict`, the same each call.
+        last ``MAX_TOMBSTONES`` are kept.  Each list and each entry is a
+        read-only :class:`~proteus.control.EncodedList` or
+        :class:`~proteus.control.EncodedDict`, which carries its text for
+        :func:`~proteus.control.encode_status_response`, and so is each
+        dict and list in them.  The ``hams`` list is shared by every call
+        until a ham registers or its occupancy or a queue depth changes,
+        the ``modules`` list until a module loads, and a stopped
+        deployment's entry for good.  An active deployment's entry samples
+        its endpoint's attachment.  The call does Python work per live
+        deployment, not per stopped one.
         """
-        hams = [{
-            "ham_id": ham_id,
-            "hardware_type": descriptor.hardware_type,
-            "resources": dict(descriptor.resources),
-            "busy": ham_id in self._occupant,
-            "active_deployment": self._occupant.get(ham_id),
-            "queue_depth": len(self._queues.get(ham_id, ())),
-        } for ham_id, (descriptor, _) in sorted(self._hams.items())]
-        modules = [{
-            "module_id": module_id,
-            "display_name": manifest.display_name,
-            "implementations": [
-                {"hardware_type": impl.hardware_type, "behavior": impl.behavior}
-                for impl in manifest.implementations
-            ],
-        } for module_id, manifest in sorted(self._modules.items())]
-        deployments = [d.status_entry() for d in self._deployments.values()]
-        for deployment_id in self._occupant.values():
-            # the entries sampled each endpoint's attachment
-            self._rewatch(self._deployments[deployment_id])
+        if self._ham_heads is None:  # until a ham registers
+            self._ham_heads = [self._ham_head(descriptor)
+                               for _, (descriptor, _) in sorted(self._hams.items())]
+            self._hams_status = None
+        occupancy = (tuple(self._occupant.items()), tuple(map(len, self._queues.values())))
+        if self._hams_status is None or self._hams_status[0] != occupancy:
+            self._hams_status = occupancy, self._ham_entries()
+        if self._modules_status is None:  # until a module loads
+            self._modules_status = frozen([{
+                "module_id": module_id,
+                "display_name": manifest.display_name,
+                "implementations": [
+                    {"hardware_type": impl.hardware_type, "behavior": impl.behavior}
+                    for impl in manifest.implementations
+                ],
+            } for module_id, manifest in sorted(self._modules.items())])
+        stopped = self._stopped
+        deployments, texts, listed = [], [], 0
+        for deployment_id, deployment in self._live.items():
+            before = stopped.position(deployment_id)
+            if before > listed:
+                deployments += stopped.entries[listed:before]
+                texts.append(stopped.text_of(listed, before))
+                listed = before
+            entry = deployment.status_entry()
+            deployments.append(entry)
+            texts.append(entry.json)
+            if deployment.state is DeploymentState.ACTIVE:
+                # the entry sampled the endpoint's attachment
+                endpoint, runtime = deployment.endpoint, deployment.runtime
+                if deployment.seen != (endpoint.version, runtime.version,
+                                       len(deployment.out_pending) < self._capacity):
+                    self._rewatch(deployment)
+        if listed < len(stopped.entries):
+            deployments += stopped.entries[listed:]
+            texts.append(stopped.text_of(listed, len(stopped.entries)))
+        parts = [b"["]
+        for text in texts:
+            parts += (b", ", text)
+        parts[1:2] = ()  # no separator before the first
+        parts.append(b"]")
         return {
-            "hams": hams,
-            "modules": modules,
-            "deployments": deployments,
-            "queue_depth": sum(len(q) for q in self._queues.values()),
+            "hams": self._hams_status[1],
+            "modules": self._modules_status,
+            "deployments": EncodedList(deployments, parts),
+            "queue_depth": sum(map(len, self._queues.values())),
         }
+
+    @staticmethod
+    def _ham_head(descriptor: HamDescriptor) -> tuple[EncodedDict, bytes]:
+        """A ham's status fields that registering fixes, and their text
+        up to the ``busy`` that follows them."""
+        fixed = frozen({
+            "ham_id": descriptor.ham_id,
+            "hardware_type": descriptor.hardware_type,
+            "resources": descriptor.resources,
+        })
+        return fixed, fixed.json[:-1] + b', "busy": '
+
+    def _ham_entries(self) -> EncodedList:
+        entries = []
+        for fixed, head in self._ham_heads:
+            active = self._occupant.get(fixed["ham_id"])
+            depth = len(self._queues[fixed["ham_id"]])
+            entries.append(EncodedDict(
+                {**fixed, "busy": active is not None, "active_deployment": active,
+                 "queue_depth": depth},
+                b'%s%s, "active_deployment": %s, "queue_depth": %d}' % (
+                    head, b"false" if active is None else b"true",
+                    b"null" if active is None else encode_basestring_ascii(active).encode(),
+                    depth)))
+        return EncodedList(entries, [b"[", b", ".join(entry.json for entry in entries), b"]"])
 
     def shutdown(self) -> None:
         """Undeploy everything that is still active, take the readers off

@@ -38,7 +38,7 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Callable
 
-from .control import encode_response, encode_status_response, parse_request
+from .control import RECV_SIZE, encode_response, encode_status_response, parse_request
 from .core import Platform, Policy
 from .errors import (
     AlreadyRunningError,
@@ -54,7 +54,6 @@ logger = logging.getLogger(__name__)
 
 MAX_LINE = 64 * 1024  # longest request line served, without its newline
 MAX_CLIENTS = 64  # control connections served at once
-RECV_SIZE = 64 * 1024
 
 
 class PlatformLoop:
@@ -190,12 +189,16 @@ class ControlServer:
     """Serves control connections on the platform loop's thread.
 
     Each connection reads requests up to ``\\n`` and gets each answer
-    sent at once.  While part of an answer is unsent the connection
-    waits for room and reads no further request, so a client that stops
-    reading holds one answer and never stalls the loop.  A ``trace``
-    request with ``follow`` turns its connection into a follower: after
-    each wake-up the loop tops up its output from the trace, up to
-    ``RECV_SIZE`` bytes, and it reads no further request.  Out of fds, a
+    sent at once.  A read that brings one whole line, as a client sends
+    a request, is answered from the bytes read, and an answer the socket
+    takes whole is sent from the bytes encoded; only other reads go
+    through the connection's ``inbox``, and only what an answer leaves
+    unsent through its ``outbox``.  While part of an answer is unsent the
+    connection waits for room and reads no further request, so a client
+    that stops reading holds one answer and never stalls the loop.  A
+    ``trace`` request with ``follow`` turns its connection into a
+    follower: after each wake-up the loop tops up its output from the
+    trace, up to ``RECV_SIZE`` bytes, and it reads no further request.  Out of fds, a
     connection is accepted on a reserve fd only to be refused.
     """
 
@@ -289,7 +292,7 @@ class ControlServer:
     def _serve(self, conn: _Connection) -> None:
         """``conn`` is ready: send what it is owed, or read and answer."""
         if conn.outbox:
-            self._flush(conn)
+            self._send(conn)
         else:
             try:
                 data = conn.sock.recv(RECV_SIZE)
@@ -302,8 +305,12 @@ class ControlServer:
                     self._handle_line(conn, bytes(conn.inbox))
                 self._close(conn)
                 return
-            if conn.cursor is None:  # a follower's further lines are ignored
-                conn.inbox += data
+            if conn.cursor is not None:
+                return  # a follower's further lines are ignored
+            if not conn.inbox and data.find(b"\n") == len(data) - 1 and len(data) <= MAX_LINE + 1:
+                self._handle_line(conn, data)  # one whole line, as a request comes
+                return
+            conn.inbox += data
         self._answer(conn)
 
     def _answer(self, conn: _Connection) -> None:
@@ -320,20 +327,21 @@ class ControlServer:
             del conn.inbox[:end + 1]
             self._handle_line(conn, line)
 
-    def _send(self, conn: _Connection, reply: bytes) -> None:
-        conn.outbox += reply
-        self._flush(conn)
-
-    def _flush(self, conn: _Connection) -> None:
-        """Send what ``conn`` is owed; wait for room while some is left."""
+    def _send(self, conn: _Connection, reply: bytes | None = None) -> None:
+        """Send ``reply``, all that ``conn`` is owed, or else its outbox;
+        what the socket does not take waits in the outbox for room."""
+        data = conn.outbox if reply is None else reply
         try:
-            sent = conn.sock.send(conn.outbox)
+            sent = conn.sock.send(data)
         except BlockingIOError:
             sent = 0
         except OSError:
             self._close(conn)  # the client went away
             return
-        del conn.outbox[:sent]
+        if reply is None:
+            del conn.outbox[:sent]
+        elif sent < len(reply):
+            conn.outbox += memoryview(reply)[sent:]
         writing = bool(conn.outbox)
         if writing is not conn.writing:
             conn.writing = writing
@@ -403,7 +411,7 @@ class ControlServer:
                 conn.outbox += json.dumps({"event": event.to_dict()}).encode() + b"\n"
                 conn.cursor += 1
             if conn.outbox and not conn.writing:
-                self._flush(conn)
+                self._send(conn)
 
     def close(self) -> None:
         """Close every connection, trace followers too, and the listener,

@@ -49,8 +49,10 @@ import select
 import termios
 import time
 import tty
+from json.encoder import encode_basestring_ascii
 
 from .channel import ChannelHandle
+from .control import EncodedDict
 from .errors import NameInUseError, OsResourceError, ProteusError
 from .trace import TraceKind, TraceLog
 
@@ -406,14 +408,23 @@ class PtyEndpoint:
         self._attached = False
         return False
 
-    def snapshot(self) -> dict:
-        return {
+    def snapshot(self) -> EncodedDict:
+        """The endpoint's ``status`` entry, with its text; it samples
+        attachment."""
+        open_count = self.open_count  # first: a sample can count a session
+        entry = {
             "name": self.name,
             "path": self.os_path,
             "link": self.link_path,
-            "open_count": self.open_count,
+            "open_count": open_count,
             "sessions": self._sessions,
             "bytes_from_app": self.bytes_from_app,
             "bytes_to_app": self.bytes_to_app,
             "bytes_dropped": self.bytes_dropped,
         }
+        name, path, link = map(encode_basestring_ascii, (self.name, self.os_path, self.link_path))
+        return EncodedDict(entry, (
+            '{"name": %s, "path": %s, "link": %s, "open_count": %d, "sessions": %d, '
+            '"bytes_from_app": %d, "bytes_to_app": %d, "bytes_dropped": %d}' % (
+                name, path, link, open_count, self._sessions, self.bytes_from_app,
+                self.bytes_to_app, self.bytes_dropped)).encode())

@@ -16,7 +16,9 @@ is answered once the connect is decided; until then, and while
 ``CARRIER_CHUNK`` bytes wait for the peer, ``Modem.accepts_input`` is
 False and input waits upstream.  What these tell changes only when
 ``Modem.version`` moves on, so a pump need not ask after every step.
-Name lookup of a host that is not numeric still blocks.
+A dial plan's host names are looked up once, when the plan is parsed,
+so a dial makes no name lookup and a TCP carrier dials only numeric
+addresses.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ NO_CARRIER = "NO CARRIER"
 
 LINE_BUFFER_LIMIT = 256
 GUARD_SECONDS = 1.0
-# bytes a TCP carrier reads per pass, and holds for a peer that does not
-# take them before the modem takes no more input
+# bytes a TCP carrier reads per pass, holds for a peer that does not
+# take them before the modem takes no more input, and asks its socket's
+# send buffer to hold
 CARRIER_CHUNK = 4096
 
 
@@ -179,7 +182,7 @@ class NoCarrierTarget(_Value):
 
 
 class TcpTarget(NamedTuple):
-    host: str
+    host: str  # numeric, once parsed: a plan looks its names up
     port: int
 
 
@@ -235,10 +238,10 @@ def _parse_target(text: str) -> DialTarget:
             raise MalformedDialPlanError(
                 f"expected tcp:<host>:<port> with a port in 1-65535, got {text!r}")
         try:
-            host.encode("idna")  # what name lookup does first
-        except UnicodeError as exc:
-            raise MalformedDialPlanError(f"bad host in {text!r}: {exc}") from exc
-        return TcpTarget(host, int(port))
+            address = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM)[0][4]
+        except (OSError, UnicodeError) as exc:  # UnicodeError: a name it cannot encode
+            raise MalformedDialPlanError(f"cannot look up the host in {text!r}: {exc}") from exc
+        return TcpTarget(address[0], int(port))
     raise MalformedDialPlanError(f"unknown dial target {text!r}")
 
 
@@ -247,6 +250,8 @@ def parse_dial_plan(text: str) -> DialPlan:
 
     One ``dialstring = loopback | tcp:<host>:<port> | none`` entry per
     line, plus an optional ``default = ...`` line; ``#`` starts a comment.
+    Each host is looked up now, and its target holds the first address
+    found; a host that does not resolve makes the plan malformed.
     """
     entries: dict[str, DialTarget] = {}
     default: DialTarget = LoopbackTarget()
@@ -322,17 +327,21 @@ class LoopbackCarrier:
 class TcpCarrier:
     """Bridges the data-mode byte stream to a TCP connection.
 
-    The socket is non-blocking and connects in the background;
-    :meth:`connect_outcome` tells once that is decided.  Bytes the peer
-    does not take yet wait in ``backlog``.
+    ``host`` must be a numeric address, as a parsed plan holds: the
+    carrier looks no name up.  The socket is non-blocking and connects
+    in the background; :meth:`connect_outcome` tells once that is
+    decided.  Bytes the peer does not take yet wait in ``backlog``; the
+    socket's send buffer is kept to ``CARRIER_CHUNK``, so a peer that
+    stops reading holds the client back within a few of them.
     """
 
     def __init__(self, host: str, port: int):
-        family, kind, proto, _, address = socket.getaddrinfo(
-            host, port, type=socket.SOCK_STREAM)[0]
-        self._sock = socket.socket(family, kind, proto)
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        socket.inet_pton(family, host.partition("%")[0])  # OSError unless numeric
+        self._sock = socket.socket(family, socket.SOCK_STREAM)
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, CARRIER_CHUNK)
         self._sock.setblocking(False)
-        err = self._sock.connect_ex(address)
+        err = self._sock.connect_ex((host, port))
         if err not in (0, errno.EINPROGRESS):
             self._sock.close()
             raise OSError(err, os.strerror(err))
@@ -471,7 +480,7 @@ class Modem:
         try:
             self.carrier = (LoopbackCarrier() if isinstance(target, LoopbackTarget)
                             else TcpCarrier(target.host, target.port))
-        except (OSError, UnicodeError):  # UnicodeError: a host name lookup cannot encode
+        except OSError:  # out of fds, or a host that is not numeric
             return NO_CARRIER
         self._dial_deadline = self.clock() + self.connect_timeout
         return None

@@ -6,6 +6,7 @@ import json
 import os
 import select
 import signal
+import socket
 import stat
 import subprocess
 import sys
@@ -142,6 +143,26 @@ def test_trace_follow_streams_until_daemon_stops(daemon, sock, tmp_path, capsys)
 def test_no_daemon_reports_unreachable(tmp_path, capsys):
     assert main(["status", "--socket", str(tmp_path / "nothing.sock")]) == 1
     assert "error: no-daemon" in capsys.readouterr().err
+
+
+def test_a_refused_connection_is_reported_as_an_error_line(tmp_path, capsys):
+    path = tmp_path / "refusing.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(str(path))
+        listener.listen(1)
+
+        def refuse():  # answers before the request comes, or after, unread
+            with listener.accept()[0] as conn:
+                conn.sendall(b'{"ok": false, "error": {"code": "too-many-clients", '
+                             b'"message": "at most 64"}}\n')
+
+        refuser = threading.Thread(target=refuse)
+        refuser.start()
+        try:
+            assert main(["status", "--socket", str(path)]) == 1
+        finally:
+            refuser.join(timeout=5)
+    assert capsys.readouterr().err == "error: too-many-clients: at most 64\n"
 
 
 def test_control_socket_env_var_is_honored(daemon, sock, monkeypatch, capsys):

@@ -117,6 +117,15 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+@given(value=JSON_VALUES | st.floats() | st.tuples(st.integers())
+       | st.dictionaries(st.integers() | st.booleans(), st.text(max_size=3), max_size=2))
+def test_control_lines_are_json_dumps_byte_for_byte(value):
+    assert encode_response(True, {"value": value}) == (
+        json.dumps({"ok": True, "value": value}) + "\n").encode()
+    assert encode_request(ControlRequest("trace", {"from_seq": value})) == (
+        json.dumps({"op": "trace", "from_seq": value}) + "\n").encode()
+
+
 @settings(max_examples=60, deadline=None)
 @given(module_ids=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=3,
                            unique=True),
@@ -141,20 +150,37 @@ def test_joined_status_reply_is_the_encoded_status_byte_for_byte(
     # active, stopped, active again, queued and failed, before the drawn ops
     preamble = [("deploy", 0), ("undeploy", 0), ("deploy", 0), ("queue", 0), ("fail", 1)]
     ids = []
+    stopped = []  # in the order they stopped
     seen = set()
+
+    def number(deployment_id):
+        return int(deployment_id[1:])
+
     with mock.patch.object(core, "MAX_TOMBSTONES", bound):
         for op, k in preamble + ops:
+            undeployed = None
             try:
                 if op == "undeploy":
-                    platform.undeploy(ids[k % len(ids)])
+                    undeployed = ids[k % len(ids)]
+                    platform.undeploy(undeployed)
                 else:
                     module_id = "broken" if op == "fail" else module_ids[k % len(module_ids)]
                     policy = Policy.QUEUE if op == "queue" else Policy.REJECT
                     ids.append(platform.deploy(module_id, f"sim{k % 2}", policy))
             except ProteusError:
                 pass
+            # what stopped: the undeployed one first, then any queued one
+            # whose activation failed, in queue order
+            stopping = (set(ids) | set(platform._deployments)) - set(stopped)
+            for deployment_id in sorted(stopping, key=lambda i: (i != undeployed, number(i))):
+                deployment = platform._deployments.get(deployment_id)  # None: evicted at once
+                if deployment is None or deployment.state.value == "stopped":
+                    stopped.append(deployment_id)
             status = platform.status()
             assert encode_status_response(status) == encode_response(True, {"status": status})
+            live = set(ids) - set(stopped)
+            assert [entry["deployment_id"] for entry in status["deployments"]] == sorted(
+                live | set(stopped[-bound:]), key=number)
             seen.update(entry["state"] for entry in status["deployments"])
     assert seen >= {"active", "pending", "stopped"}
 
@@ -204,18 +230,53 @@ def test_status_lists_registered_hardware(client):
     assert status["deployments"] == []
 
 
-def test_status_reply_on_the_wire_is_the_encoded_status(daemon, tmp_path):
-    with ControlClient(daemon.server.socket_path) as c:
-        c.request("load", path=str(tmp_path / "modem.yaml"))
-        c.request("undeploy", deployment_id=c.request(
-            "deploy", module_id="modem", ham_id="sim0")["deployment_id"])
-        c.request("deploy", module_id="modem", ham_id="sim0")
-        c.request("deploy", module_id="modem", ham_id="sim0", policy="queue")
-    status = daemon.loop.call(daemon.platform.status)
-    assert [d["state"] for d in status["deployments"]] == ["stopped", "active", "pending"]
-    with connect_raw(daemon) as raw, raw.makefile("rb") as replies:
-        raw.sendall(b'{"op": "status"}\n')
-        assert replies.readline() == encode_response(True, {"status": status})
+def test_status_reply_on_the_wire_is_the_encoded_status(tmp_path):
+    """Byte for byte, with stopped deployments before, at and past the
+    bound, live ones among them by id, and one stopped out of id order."""
+    d = Daemon(runtime_dir=tmp_path, socket_path=tmp_path / "ctl.sock")
+    for ham_id in ("sim0", "sim1"):
+        d.platform.register_ham(SimulatedFpga(ham_id, "sim-fpga-v1", resources={"lut": 9}))
+    d.platform.load_module(make_manifest())
+    d.start()
+    stopped, live = [], set()
+
+    def deploy(ham_id, policy=Policy.REJECT):
+        deployment_id = d.platform.deploy("modem", ham_id, policy)
+        live.add(deployment_id)
+        return deployment_id
+
+    def cycles(count):
+        for _ in range(count):
+            deployment_id = deploy("sim0")
+            d.platform.undeploy(deployment_id)
+            live.remove(deployment_id)
+            stopped.append(deployment_id)
+
+    def check(states):
+        status = d.loop.call(d.platform.status)
+        listed = [entry["deployment_id"] for entry in status["deployments"]]
+        kept = set(stopped[-core.MAX_TOMBSTONES:]) | live
+        assert listed == sorted(kept, key=lambda i: int(i[1:]))
+        assert {entry["state"] for entry in status["deployments"]} == states
+        with connect_raw(d) as raw, raw.makefile("rb") as replies:
+            raw.sendall(b'{"op": "status"}\n')
+            assert replies.readline() == encode_response(True, {"status": status})
+
+    try:
+        check(set())
+        d.loop.call(lambda: cycles(3))
+        held = d.loop.call(lambda: deploy("sim1"))  # lives on among the stopped
+        d.loop.call(lambda: deploy("sim1", Policy.QUEUE))
+        check({"stopped", "active", "pending"})
+        for count in (core.MAX_TOMBSTONES - 3, 1, 5):  # up to the bound, one past, more
+            d.loop.call(lambda: cycles(count))
+            check({"stopped", "active", "pending"})
+        d.loop.call(lambda: d.platform.undeploy(held))  # stops after higher ids did
+        live.remove(held)
+        stopped.append(held)
+        check({"stopped", "active"})
+    finally:
+        d.stop()
 
 
 def test_load_deploy_status_undeploy_cycle(client, tmp_path):
@@ -246,6 +307,27 @@ def test_a_deploy_and_the_status_behind_it_open_no_pty_between_them(
         assert c.request("status")["status"]["deployments"][0]["state"] == "active"
     assert calls == ["openpty", "status"]  # the deploy's own PTY, and nothing more
     assert os.path.lexists(dep["link"])
+
+
+def test_an_answer_sent_before_the_request_is_read_is_raised(tmp_path):
+    """A daemon that answers a connection and closes it unread, as it
+    refuses one, is heard even when its close lands before the request
+    is sent, which then meets a broken pipe."""
+    path = tmp_path / "refusing.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+        listener.bind(str(path))
+        listener.listen(2)
+        with ControlClient(path, timeout=5) as refused, ControlClient(path, timeout=5) as cut:
+            with listener.accept()[0] as conn:
+                conn.sendall(encode_response(False, error_code="os-resource-failure",
+                                             error_message="out of fds"))
+            listener.accept()[0].close()  # without a word
+            with pytest.raises(RemoteError) as answer:
+                refused.request("status")
+            assert (answer.value.code, answer.value.message) == (
+                "os-resource-failure", "out of fds")
+            with pytest.raises(ProtocolError, match="daemon closed the connection"):
+                cut.request("status")
 
 
 def test_remote_errors_carry_stable_codes(client, tmp_path):

@@ -790,6 +790,33 @@ def test_status_reports_registries_and_business(platform, sim_ham, modem_manifes
     assert entry["endpoint"]["name"] == "modem-sim0"
 
 
+def test_status_shares_its_lists_read_only_until_they_change(
+        platform, sim_ham, shouter_manifest):
+    platform.register_ham(sim_ham)
+    platform.load_module(shouter_manifest)
+    first = platform.status()
+    assert platform.status()["hams"] is first["hams"]
+    assert platform.status()["modules"] is first["modules"]
+    for change in (lambda: first["hams"].append({}),
+                   lambda: first["hams"][0].update(busy=True),
+                   lambda: first["hams"][0]["resources"].clear(),
+                   lambda: first["modules"][0]["implementations"].pop(),
+                   lambda: first["modules"][0]["implementations"][0].pop("behavior"),
+                   lambda: first["deployments"].append({})):
+        with pytest.raises(TypeError):
+            change()
+    dep = platform.deploy("shouter", "sim0")  # occupancy changes
+    hams = platform.status()["hams"]
+    assert hams is not first["hams"] and hams[0]["active_deployment"] == dep
+    platform.deploy("shouter", "sim0", policy=Policy.QUEUE)  # a queue depth changes
+    assert platform.status()["hams"][0]["queue_depth"] == 1
+    platform.register_ham(SimulatedFpga("sim1", "sim-fpga-v1"))
+    assert [ham["ham_id"] for ham in platform.status()["hams"]] == ["sim0", "sim1"]
+    assert platform.status()["modules"] is first["modules"]
+    platform.load_module(make_manifest("other", "identity", "upper"))
+    assert len(platform.status()["modules"]) == 2
+
+
 # ---------------------------------------------------------------------------
 # stopped deployments: bounded tombstones
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import json
 import logging
 import os
 import stat
@@ -180,6 +181,15 @@ def test_counters_track_traffic(real_platform):
         assert snap["sessions"] == 1
     finally:
         os.close(fd)
+
+
+def test_a_status_entry_carries_its_json_whatever_the_endpoint_is_named(real_platform):
+    dep = deploy_shouter(real_platform, name='lo"u\\d \u00e9\u6a21')
+    snap = endpoint_of(real_platform, dep).snapshot()
+    assert snap.json == json.dumps(dict(snap)).encode()
+    [entry] = real_platform.status()["deployments"]
+    assert entry["endpoint"]["name"] == 'lo"u\\d \u00e9\u6a21'
+    assert entry.json == json.dumps(entry).encode()
 
 
 # ---------------------------------------------------------------------------

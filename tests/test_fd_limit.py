@@ -82,19 +82,16 @@ def test_daemon_out_of_fds_refuses_connections_without_spinning(tmp_path):
         refused = 0
         while refused < 3:  # the first refusal, and two while still out of fds
             assert len(held) < NOFILE, "the daemon never ran out of fds"
-            client = ControlClient(sock, timeout=5)
+            held.append(ControlClient(sock, timeout=5))  # closed below, whatever happens
             try:
-                client.request("status")
+                held[-1].request("status")
             except RemoteError as exc:
+                held.pop().close()
                 assert exc.code == "os-resource-failure"
                 assert "out of file descriptors" in exc.message
                 refused += 1
-                client.close()
             except TimeoutError:
-                client.close()
                 pytest.fail("a connection past the fd limit got no answer")
-            else:
-                held.append(client)
 
         cpu = _cpu_seconds(proc.pid)
         time.sleep(1.0)

@@ -31,6 +31,7 @@ from proteus.modem import (
     TcpTarget,
     Unknown,
     frame_result,
+    load_dial_plan,
     parse_at_line,
     parse_dial_plan,
 )
@@ -536,6 +537,41 @@ def _pump_until(modem, predicate, collected=b"", timeout=5.0):
         time.sleep(0.01)
         collected += modem.carrier_pump().to_app
     return collected
+
+
+def test_dial_plan_hosts_are_looked_up_when_parsed_and_never_at_dial(
+        monkeypatch, echo_server, tmp_path):
+    port, _ = echo_server
+    looked_up = []
+
+    def getaddrinfo(host, *args, **kwargs):  # no real name service
+        looked_up.append(host)
+        if host != "bridge.example":
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return [(socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port))]
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    plan_path = tmp_path / "plan.conf"
+    plan_path.write_text(f"42 = tcp:bridge.example:{port}\n# {tmp_path}\n")
+    plan = load_dial_plan(str(plan_path))
+    assert plan.entries["42"] == TcpTarget("127.0.0.1", port)
+    assert load_dial_plan(str(plan_path)) is plan  # the same bytes: not parsed again
+    assert looked_up == ["bridge.example"]
+    modem = Modem(dial_plan=plan)
+    modem.feed(b"ATE0\r")
+    got = _pump_until(modem, responses, modem.feed(b"ATD42\r").to_app)
+    assert responses(got) == [CONNECT]
+    modem.close()
+    assert looked_up == ["bridge.example"]  # the dial looked nothing up
+    plan_path.write_text(f"42 = tcp:nowhere.example:{port}\n# {tmp_path}\n")
+    with pytest.raises(MalformedDialPlanError, match="nowhere.example"):
+        load_dial_plan(str(plan_path))
+
+
+def test_a_target_built_in_code_with_a_host_name_gets_no_carrier(monkeypatch):
+    monkeypatch.setattr(socket, "getaddrinfo", pytest.fail)
+    modem = Modem(dial_plan=DialPlan({"1": TcpTarget("bridge.example", 80)}))
+    assert responses(modem.feed(b"ATD1\r").to_app) == [NO_CARRIER]
 
 
 def test_tcp_carrier_bridges_both_directions(echo_server):

@@ -159,8 +159,8 @@ def lingering(served: Served) -> None:
 
 def called(root: Path, buffer: int | None = None) -> tuple[Served, socket.socket]:
     """A modem deployment in a TCP call, and the peer's socket, which
-    does not block; ``buffer`` sets the peer's receive buffer and the
-    carrier's send buffer, which loopback TCP would grow to megabytes."""
+    does not block; ``buffer`` sets the peer's receive buffer, which is
+    not the platform's to bound."""
     with socket.socket() as listener:
         if buffer is not None:  # before listen(), so the window fits it
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, buffer)
@@ -173,9 +173,6 @@ def called(root: Path, buffer: int | None = None) -> tuple[Served, socket.socket
         want = b"ATE0\r\r\nOK\r\n\r\nCONNECT\r\n"
         assert served.receive(len(want)) == want
         peer, _ = listener.accept()
-    if buffer is not None:
-        served.deployment.runtime.carrier._sock.setsockopt(
-            socket.SOL_SOCKET, socket.SO_SNDBUF, buffer)
     peer.setblocking(False)
     served.got.clear()
     return served, peer
@@ -423,6 +420,20 @@ def test_a_drained_peer_and_a_client_that_does_not_read_cost_no_passes(tmp_path)
         assert bytes(served.got) == FLOOD[:flooded]
         assert received == b"x" * sent
         assert served.deployment.bytes_dropped == served.deployment.endpoint.bytes_dropped == 0
+    finally:
+        peer.close()
+        served.close()
+
+
+def test_a_peer_that_does_not_read_holds_the_client_back_within_64_kib(tmp_path):
+    # the peer's receive buffer is capped: what it holds is not the
+    # platform's; without a send buffer of its own, the carrier's grew to
+    # megabytes, all taken from the client and lost on a reset
+    served, peer = called(tmp_path, buffer=4096)
+    try:
+        served.fill(served.platform.serve)
+        assert served.deployment.runtime.carrier.backlog
+        assert served.deployment.endpoint.bytes_from_app <= 64 * 1024
     finally:
         peer.close()
         served.close()
