@@ -1,22 +1,23 @@
 """Full-duplex byte channel between a native application and the platform.
 
-A :class:`DuplexChannel` is one shared pair of bounded ring buffers with
+A :class:`DuplexChannel` is one shared pair of bounded byte FIFOs with
 exactly two handles, one per side.  Each direction has a single producer
 and a single consumer; reads and writes never block and may be partial.
 Closing a handle leaves already-buffered bytes readable by the peer
 (drain semantics), after which the peer sees end-of-stream.  It also
 drops the closed handle's link to its peer, so a pair of handles is no
 reference cycle once either side is closed, and refcounting frees the
-rings as soon as nothing holds the handles.
+FIFOs as soon as nothing holds the handles.
 
-Nothing here takes a lock.  Each ring position has one writer: the
-producer copies bytes in before it advances ``write_pos``, and the
-consumer copies bytes out before it advances ``read_pos`` (Lamport,
-"Specifying Concurrent Program Modules", 1983).  Whichever side looks at
-the other's position sees either the old or the new value, never bytes
-it may not yet touch.  That relies on the interpreter lock running each
-attribute load and store whole and in program order, as CPython's does;
-a build without it would need the positions published with barriers.
+Nothing here takes a lock.  Each direction is one ``bytearray``: the
+producer appends what fits and the consumer copies the front and then
+deletes it, which CPython does by moving the array's start.  Every step
+on the storage (taking its length, appending, copying the front,
+deleting it) is one C call, which the interpreter lock runs whole.  The
+producer only appends, so the room it saw can only have grown by the
+time it appends; the consumer deletes only the bytes it has already
+copied, so the bytes it saw are still at the front.  A build without
+the interpreter lock would need a lock per direction.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ DEFAULT_CAPACITY = 4096
 
 
 class RingBuffer:
-    """Bounded single-producer, single-consumer FIFO of bytes with
-    monotonic read/write counters.
+    """Bounded single-producer, single-consumer FIFO of bytes.
 
-    Capacity must be a power of two so positions wrap with a mask and a
-    full buffer is always distinguishable from an empty one.  The ring
-    is storage and positions only: the :class:`ChannelHandle` that
-    writes it is its one producer, the one that reads it its consumer.
+    Capacity must be a power of two, at least 2.  The buffer is storage
+    only: the :class:`ChannelHandle` that writes it is its one producer,
+    the one that reads it its consumer.
     """
 
-    __slots__ = ("capacity", "_mask", "_storage", "read_pos", "write_pos")
+    __slots__ = ("capacity", "_storage")
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity < 2 or capacity & (capacity - 1):
@@ -47,20 +46,17 @@ class RingBuffer:
                 f"capacity must be a power of two >= 2, got {capacity}"
             )
         self.capacity = capacity
-        self._mask = capacity - 1
-        self._storage = bytearray(capacity)
-        self.read_pos = 0
-        self.write_pos = 0
+        self._storage = bytearray()
 
     @property
     def readable(self) -> int:
         """Bytes queued; exact when the consumer asks."""
-        return self.write_pos - self.read_pos
+        return len(self._storage)
 
     @property
     def writable(self) -> int:
         """Free space; exact when the producer asks."""
-        return self.capacity - (self.write_pos - self.read_pos)
+        return self.capacity - len(self._storage)
 
 
 class Side(enum.Enum):
@@ -81,7 +77,7 @@ class PollStatus(NamedTuple):
 
 
 class DuplexChannel:
-    """Two ring buffers, one per direction."""
+    """Two bounded FIFOs, one per direction."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.app_to_platform = RingBuffer(capacity)
@@ -122,23 +118,13 @@ class ChannelHandle:
             raise ClosedHandleError(f"{self.side.value} handle is closed")
         if not self._peer._open:
             raise PeerDisconnectedError(f"{self.side.peer.value} handle has disconnected")
-        ring = self._outbound
-        write_pos = ring.write_pos
-        n = ring.capacity - (write_pos - ring.read_pos)  # free space
-        if len(data) < n:
-            n = len(data)
-        if n <= 0:
-            return 0
-        start = write_pos & ring._mask
-        end = start + n
-        if end <= ring.capacity:
-            ring._storage[start:end] = data if n == len(data) else data[:n]
-        else:  # wraps past the physical end
-            first = ring.capacity - start
-            ring._storage[start:] = data[:first]
-            ring._storage[:end - ring.capacity] = data[first:n]
-        ring.write_pos = write_pos + n  # publish only once the bytes are in
-        return n
+        buffer = self._outbound
+        fifo = buffer._storage
+        room = buffer.capacity - len(fifo)
+        if len(data) > room:
+            data = data[:room]
+        fifo += data
+        return len(data)
 
     def read(self, max_bytes: int) -> bytes | None:
         """Dequeue up to ``max_bytes`` from the inbound buffer.
@@ -151,27 +137,20 @@ class ChannelHandle:
         # looked at before draining: a peer that writes and then closes
         # between the two steps must not hide its last bytes
         peer_open = self._peer._open
-        ring = self._inbound
-        read_pos = ring.read_pos
-        n = ring.write_pos - read_pos
+        fifo = self._inbound._storage
+        n = len(fifo)
         if n > max_bytes:
             n = max_bytes
         if n <= 0:
             return b"" if peer_open else None
-        start = read_pos & ring._mask
-        end = start + n
-        if end <= ring.capacity:
-            data = bytes(ring._storage[start:end])
-        else:  # wraps past the physical end
-            data = bytes(ring._storage[start:]) + ring._storage[:end - ring.capacity]
-        ring.read_pos = read_pos + n  # free the space only once it is copied
+        data = bytes(fifo[:n])
+        del fifo[:n]  # free the space only once it is copied
         return data
 
     @property
     def readable(self) -> int:
         """Bytes this side can read now; a cheap test before :meth:`read`."""
-        inbound = self._inbound
-        return inbound.write_pos - inbound.read_pos
+        return len(self._inbound._storage)
 
     def close(self) -> None:
         """Close this side.  Idempotent."""

@@ -106,7 +106,7 @@ def parse_request(line: bytes | str) -> ControlRequest:
     if not isinstance(doc, dict) or "op" not in doc:
         raise ProtocolError("request must be an object with an 'op' field")
     op = doc.pop("op")
-    if op not in REQUEST_SCHEMA:
+    if not isinstance(op, str) or op not in REQUEST_SCHEMA:  # a list or dict is unhashable
         raise ProtocolError(f"unknown op {op!r}")
     required, optional = REQUEST_SCHEMA[op]
     for name in required:

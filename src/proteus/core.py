@@ -144,26 +144,19 @@ class Deployment:
                  "platform_handle", "endpoint", "runtime", "out_pending",
                  "bytes_dropped", "seen")
 
-    def __init__(self, deployment_id: str, module_id: str, ham_id: str, policy: Policy,
-                 state: DeploymentState = DeploymentState.PENDING,
-                 platform_handle: ChannelHandle | None = None,
-                 endpoint: PtyEndpoint | None = None,
-                 runtime: object | None = None,
-                 out_pending: bytearray | None = None,
-                 bytes_dropped: int = 0,
-                 seen: tuple | None = None):
+    def __init__(self, deployment_id: str, module_id: str, ham_id: str, policy: Policy):
         self.deployment_id = deployment_id
         self.module_id = module_id
         self.ham_id = ham_id
         self.policy = policy
-        self.state = state
-        self.platform_handle = platform_handle
-        self.endpoint = endpoint
-        self.runtime = runtime
-        self.out_pending = bytearray() if out_pending is None else out_pending
-        self.bytes_dropped = bytes_dropped
+        self.state = DeploymentState.PENDING
+        self.platform_handle: ChannelHandle | None = None
+        self.endpoint: PtyEndpoint | None = None
+        self.runtime: object | None = None
+        self.out_pending = bytearray()
+        self.bytes_dropped = 0
         # (endpoint version, runtime version, output room) when last watched
-        self.seen = seen
+        self.seen: tuple | None = None
 
     def status_entry(self) -> EncodedDict:
         """This deployment's ``status`` entry, with its text; an active

@@ -37,7 +37,8 @@ node at once and takes no more input.  While an attached client has not
 read its tail the master stays open, watched for ``EPOLLOUT`` edges:
 the client's reads wake the master's writers, and its close hangs the
 master up.  :meth:`PtyEndpoint.linger` looks at each edge, and closes the
-master once the client has caught up or ``DRAIN_WAIT`` has passed.
+master once the client has caught up or ``DRAIN_WAIT`` has passed; what it
+then still holds for the client is counted dropped.
 """
 
 from __future__ import annotations
@@ -288,7 +289,8 @@ class PtyEndpoint:
                 accepted = self._handle.write(self._in_pending)
             except ProteusError:
                 # platform side gone; drop what cannot be delivered
-                self._drop_input()
+                self._drop(len(self._in_pending))
+                self._in_pending = b""
             else:
                 self.bytes_from_app += accepted
                 self._in_pending = self._in_pending[accepted:]
@@ -297,12 +299,11 @@ class PtyEndpoint:
                 self.version += 1
         return accepted, self._pump_outbound() if self._out_pending else 0
 
-    def _drop_input(self) -> None:
-        self.bytes_dropped += len(self._in_pending)
+    def _drop(self, count: int) -> None:
+        self.bytes_dropped += count
         if self._trace is not None:
             self._trace.emit(TraceKind.DATA_DROPPED, deployment_id=self.deployment_id,
-                             bytes=len(self._in_pending), where="endpoint")
-        self._in_pending = b""
+                             bytes=count, where="endpoint")
 
     def _pump_outbound(self) -> int:
         """Move channel bytes to the PTY until one of them runs dry or full."""
@@ -311,7 +312,7 @@ class PtyEndpoint:
         while self._out_pending or not drained:
             if not self._out_pending:
                 self._out_pending = self._handle.read(CHUNK) or b""
-                drained = len(self._out_pending) < CHUNK  # the read emptied the ring
+                drained = len(self._out_pending) < CHUNK  # the read emptied the channel
             try:
                 n = os.write(self._master, self._out_pending)
             except BlockingIOError:
@@ -391,18 +392,23 @@ class PtyEndpoint:
             self._out_pending += handle.read(CHUNK)
         handle.close()
         if self._in_pending:  # read from the client, never to reach the platform
-            self._drop_input()
+            self._drop(len(self._in_pending))
+            self._in_pending = b""
         self._drain_until = time.monotonic() + DRAIN_WAIT
         return self.linger()
 
     def linger(self) -> bool:
         """One look at a withdrawn endpoint: write on what the client is
         owed, and close the master once it has read everything or
-        ``DRAIN_WAIT`` has passed.  True while the master stays open; a
-        connected client observes hangup once it closes."""
+        ``DRAIN_WAIT`` has passed, counting dropped what it could not
+        write.  True while the master stays open; a connected client
+        observes hangup once it closes."""
         self._pump_outbound()
         if time.monotonic() < self._drain_until and self._client_behind():
             return True
+        if self._out_pending:  # a full PTY held it back until the end
+            self._drop(len(self._out_pending))
+            self._out_pending = b""
         os.close(self._master)
         self._master = -1
         self._attached = False

@@ -95,6 +95,8 @@ def test_round_trip_over_generated_requests():
     b'{"op": "deploy", "module_id": "m"}',
     b'{"op": "status", "extra": 1}',
     b'{"op": "undeploy"}',
+    b'{"op": []}',
+    b'{"op": {}}',
 ])
 def test_bad_requests_rejected(line):
     with pytest.raises(ProtocolError):
@@ -368,6 +370,16 @@ def test_malformed_wire_data_gets_error_response(daemon):
     assert reply["ok"] is False
     assert reply["error"]["code"] == "protocol-error"
     raw.close()
+
+
+@pytest.mark.parametrize("line", [b'{"op": []}', b'{"op": {}}'])
+def test_an_op_that_is_no_string_gets_protocol_error_and_logs_nothing(daemon, caplog, line):
+    with connect_raw(daemon) as raw, raw.makefile("rb") as replies:
+        raw.sendall(line + b"\n")
+        reply = json.loads(replies.readline())
+    assert reply["ok"] is False
+    assert reply["error"]["code"] == "protocol-error"
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 @pytest.mark.parametrize("request_doc", [

@@ -490,3 +490,25 @@ def test_undeploy_counts_the_bytes_it_drops(served):
     assert len(shouter.got) + dropped["channel"] + dropped["platform"] == endpoint.bytes_from_app
     assert bytes(shouter.got) == b"X" * len(shouter.got)
     assert dropped["endpoint"] == held == endpoint.bytes_dropped
+
+
+def test_a_tail_the_lingering_client_never_reads_is_counted_dropped(served):
+    # as above, but the client reads nothing after the undeploy either, so
+    # the endpoint gives up at DRAIN_WAIT with output the PTY had no room for
+    shouter = served("shouter")
+    platform, endpoint = shouter.platform, shouter.deployment.endpoint
+    shouter.fill(platform.serve)
+    held = len(endpoint._in_pending)
+    platform.undeploy(shouter.dep)
+    deadline = time.monotonic() + DRAIN_WAIT
+    while platform._draining and time.monotonic() < deadline + 1:
+        platform.serve(0.01)
+    assert not platform._draining
+    dropped = {}
+    for e in platform.trace.events(0):
+        if e.kind is TraceKind.DATA_DROPPED:
+            dropped[e.detail["where"]] = dropped.get(e.detail["where"], 0) + e.detail["bytes"]
+    assert dropped["endpoint"] > held  # some of the tail, beside the held input
+    # every byte taken from the client reached the PTY or is counted dropped
+    assert endpoint.bytes_from_app + held == endpoint.bytes_to_app + sum(dropped.values())
+    assert endpoint.bytes_dropped == dropped["endpoint"]
